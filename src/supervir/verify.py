@@ -13,11 +13,11 @@ from fractions import Fraction
 from math import factorial
 from typing import Optional
 
-from .fock import FockState, FockVector, enumerate_basis, inner_product
+from .fock import FockState, FockVector, enumerate_basis, inner_product, state_norm_sq
 from .halfint import HalfInt, half, halfint_range
 from .oscillators import ModeOperator
 from .realizations import RealizationParams, make_mode, realize_word
-from .scalars import format_rational
+from .scalars import ZERO, GaussianRational, format_rational
 from .superalg import (
     GramMatrix,
     LowestWeightData,
@@ -74,9 +74,23 @@ class CheckReport:
         }
 
 
-def _super_commutator_apply(a: ModeOperator, b: ModeOperator, state: FockState) -> FockVector:
+def _relation_defect(a: ModeOperator, b: ModeOperator, rhs: list, central: GaussianRational, state: FockState) -> FockVector:
+    """([a, b] - sum_i c_i C_i - central) applied to one basis state, for the
+    super-commutator [a, b] and rhs = [(c_i, C_i), ...].
+
+    Every term goes into one accumulator straight from the memoized
+    apply_state columns; no intermediate vector is built.
+    """
     sign = -1 if (a.parity and b.parity) else 1
-    return a(b.apply_state(state)) - b(a.apply_state(state)).scale(sign)
+    parts = [(c, a.apply_state(s)) for s, c in b.apply_state(state).terms.items()]
+    parts += [(c * -sign, b.apply_state(s)) for s, c in a.apply_state(state).terms.items()]
+    parts += [(-cf, op.apply_state(state)) for cf, op in rhs]
+    acc = {state: -central}
+    for coeff, column in parts:
+        for s, c in column.terms.items():
+            prev = acc.get(s)
+            acc[s] = c * coeff if prev is None else prev + c * coeff
+    return FockVector(acc)
 
 
 def lowest_weight_data(params: RealizationParams) -> LowestWeightData:
@@ -197,11 +211,7 @@ def check_relations(
                 residual = Fraction(0)
                 witness = None
                 for state in basis:
-                    defect = _super_commutator_apply(a, b, state)
-                    for cf, op in rhs_ops:
-                        defect = defect - op.apply_state(state).scale(cf)
-                    if not central.is_zero():
-                        defect = defect - FockVector.basis(state).scale(central)
+                    defect = _relation_defect(a, b, rhs_ops, central, state)
                     if not defect.is_zero():
                         residual += defect.norm_sq()
                         if witness is None:
@@ -219,7 +229,7 @@ def measure_central_charge(params: RealizationParams) -> Fraction:
     l2 = make_mode(params, "L", half(4))
     lm2 = make_mode(params, "L", half(-4))
     l0 = make_mode(params, "L", half(0))
-    v = _super_commutator_apply(l2, lm2, vac_state) - l0(vac).scale(4)
+    v = _relation_defect(l2, lm2, [(GaussianRational(4), l0)], ZERO, vac_state)
     return (2 * inner_product(vac, v)).real_part()
 
 
@@ -247,20 +257,22 @@ def _adjoint_defect(
         d = make_mode(params, role, n)
         d_adj = make_mode(params, role, -n)
         label = f"{role}({n})"
+    # only nonzero matrix elements: <D u, v> = conj((D u)_v) N(v) and
+    # <u, D' v> = (D' v)_u N(u), keyed by (index of u, index of v)
+    index = {s: i for i, s in enumerate(basis)}
+    lhs = {(i, index[s]): c.conjugate() * state_norm_sq(s)
+           for i, u in enumerate(basis) for s, c in d.apply_state(u).terms.items() if s in index}
+    rhs = {(index[s], j): c * state_norm_sq(s)
+           for j, v in enumerate(basis) for s, c in d_adj.apply_state(v).terms.items() if s in index}
     residual = Fraction(0)
     witness = None
-    images = {u: d.apply_state(u) for u in basis}
-    adj_images = {v: d_adj.apply_state(v) for v in basis}
-    for u in basis:
-        uvec = FockVector.basis(u)
-        for v in basis:
-            lhs = inner_product(images[u], FockVector.basis(v))
-            rhs = inner_product(uvec, adj_images[v])
-            diff = lhs - rhs
-            if not diff.is_zero():
-                residual += diff.norm_sq()
-                if witness is None:
-                    witness = f"{label}: u={u!r} v={v!r} lhs={lhs} rhs={rhs}"
+    for key in sorted(lhs.keys() | rhs.keys()):
+        left, right = lhs.get(key, ZERO), rhs.get(key, ZERO)
+        diff = left - right
+        if not diff.is_zero():
+            residual += diff.norm_sq()
+            if witness is None:
+                witness = f"{label}: u={basis[key[0]]!r} v={basis[key[1]]!r} lhs={left} rhs={right}"
     return residual, witness
 
 
@@ -426,21 +438,15 @@ def borcherds_consistency(
 
     basis = enumerate_basis(params.content, HalfInt(weight_cutoff))
     k = m + n
-    rhs_op = None
-    if k.is_integer:
-        rhs_op = make_mode(params, "L", k).scale(alpha)
-    binom1 = _binomial(m.as_fraction() + Fraction(1, 2), 2)
+    rhs_ops = [(alpha, make_mode(params, "L", k))] if k.is_integer else []
+    central = gamma * _binomial(m.as_fraction() + Fraction(1, 2), 2) if k == 0 else ZERO
     gm, gn = g(m), g(n)
     residual = Fraction(0)
     witness = None
     for state in basis:
-        lhs = _super_commutator_apply(gm, gn, state)
-        rhs = rhs_op.apply_state(state) if rhs_op is not None else FockVector.zero()
-        if k == 0:
-            rhs = rhs + FockVector.basis(state).scale(gamma * binom1)
-        diff = lhs - rhs
-        if not diff.is_zero():
-            residual += diff.norm_sq()
+        defect = _relation_defect(gm, gn, rhs_ops, central, state)
+        if not defect.is_zero():
+            residual += defect.norm_sq()
             if witness is None:
                 witness = repr(state)
     report.entries.append(ResidualEntry("commutator", (m, n), residual, witness))

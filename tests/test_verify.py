@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from supervir.fock import FockVector
-from supervir.halfint import half
+from supervir.fock import FockVector, enumerate_basis, inner_product
+from supervir.halfint import half, halfint_range
 from supervir.realizations import RealizationParams, make_mode
-from supervir.superalg import psd_check
+from supervir.scalars import GaussianRational
+from supervir.superalg import family_presentation, psd_check
 from supervir.verify import (
+    _adjoint_defect,
     borcherds_consistency,
     check_relations,
     check_weak_symmetry,
@@ -211,3 +213,130 @@ def test_borcherds_requires_vacuum_like():
         borcherds_consistency(params("ns", "unitary", Fraction(1, 2), 1), half(1), half(-1), half(2))
     with pytest.raises(ValueError):
         borcherds_consistency(params("n2", "bs", Fraction(1, 2)), half(1), half(-1), half(2))
+
+
+# ---------------------------------------------------------------------------
+# the sparse kernels against dense reference implementations
+# ---------------------------------------------------------------------------
+
+
+def _dense_adjoint_defect(p, role, pair, basis):
+    """<D u, v> - <u, D' v> through two inner products for every (u, v)
+    in basis x basis, scanning u first, then v."""
+    if isinstance(pair, tuple):
+        n, m = pair
+        sgn = -1 if (n - m).as_int() % 2 else 1
+        d = make_mode(p, role, n) - make_mode(p, role, m).scale(sgn)
+        d_adj = make_mode(p, role, -n) - make_mode(p, role, -m).scale(sgn)
+        label = f"{role}({n},{m})"
+    else:
+        n = pair
+        d, d_adj = make_mode(p, role, n), make_mode(p, role, -n)
+        label = f"{role}({n})"
+    residual, witness = Fraction(0), None
+    for u in basis:
+        for v in basis:
+            lhs = inner_product(d(FockVector.basis(u)), FockVector.basis(v))
+            rhs = inner_product(FockVector.basis(u), d_adj(FockVector.basis(v)))
+            diff = lhs - rhs
+            if not diff.is_zero():
+                residual += diff.norm_sq()
+                if witness is None:
+                    witness = f"{label}: u={u!r} v={v!r} lhs={lhs} rhs={rhs}"
+    return residual, witness
+
+
+def _dense_relation_defect(a, b, rhs_ops, central, state):
+    """The relation defect built from whole intermediate vectors."""
+    sign = -1 if (a.parity and b.parity) else 1
+    defect = a(b(FockVector.basis(state))) - b(a(FockVector.basis(state))).scale(sign)
+    for cf, op in rhs_ops:
+        defect = defect - op(FockVector.basis(state)).scale(cf)
+    return defect - FockVector.basis(state).scale(central)
+
+
+def _dense_relations(p, window, cutoff):
+    pres = family_presentation(p.family)
+    basis = enumerate_basis(p.content, cutoff)
+    lo, hi = half(-2 * window), half(2 * window)
+    entries = []
+    for f1, f2 in pres.family_pairs():
+        for n1 in halfint_range(lo, hi, integer=pres.integer_moded(f1)):
+            for n2 in halfint_range(lo, hi, integer=pres.integer_moded(f2)):
+                a, b = make_mode(p, f1, n1), make_mode(p, f2, n2)
+                terms, central = pres.bracket(f1, n1, f2, n2, p.central_charge())
+                rhs_ops = [(cf, make_mode(p, fam, idx)) for fam, idx, cf in terms]
+                residual, witness = Fraction(0), None
+                for state in basis:
+                    defect = _dense_relation_defect(a, b, rhs_ops, central, state)
+                    if not defect.is_zero():
+                        residual += defect.norm_sq()
+                        if witness is None:
+                            witness = repr(state)
+                entries.append((f"[{f1},{f2}]", (n1, n2), residual, witness))
+    return entries
+
+
+@pytest.mark.parametrize(
+    "family,cutoff,role,n",
+    [("ns", half(8), "L", half(2)), ("ns", half(8), "L", half(-4)), ("ns", half(8), "G", half(3)),
+     ("n2", half(6), "L", half(2)), ("n2", half(6), "G1", half(-1)), ("n2", half(6), "G2", half(-3))],
+    ids=str,
+)
+def test_bare_mode_control_matches_dense_reference(family, cutoff, role, n):
+    p = params(family, "bs", Fraction(1, 2))
+    entry = single_mode_symmetry_control(p, role, n, cutoff).entries[0]
+    assert entry.residual > 0
+    expected = _dense_adjoint_defect(p, role, n, enumerate_basis(p.content, cutoff))
+    assert (entry.residual, entry.detail) == expected
+
+
+def test_paired_defect_matches_dense_reference_where_it_fails():
+    """The tilde deformation is not weakly symmetric, so paired
+    differences have nonzero residuals and a witness to compare."""
+    p = params("ns", "tilde", Fraction(1, 2))
+    basis = enumerate_basis(p.content, half(6))
+    for role, pair in (("L", (half(4), half(0))), ("G", (half(3), half(-1)))):
+        got = _adjoint_defect(p, role, pair, basis)
+        assert got[0] > 0
+        assert got == _dense_adjoint_defect(p, role, pair, basis)
+
+
+@pytest.mark.parametrize(
+    "p,window,cutoff,target",
+    [
+        # [L_1, G_{1/2}] = (1/2 - 1/2) G_{3/2}: the zero coefficient becomes 1
+        (params("ns", "unitary", Fraction(1, 2), 1), 2, half(6), ("L", half(2), "G", half(1))),
+        # [G1_{1/2}, G2_{1/2}] = 2 L_1 + ... : the first coefficient is doubled
+        (params("n2", "bs", Fraction(1, 2)), 1, half(4), ("G1", half(1), "G2", half(1))),
+    ],
+    ids=["ns-unitary", "n2-bs"],
+)
+def test_relations_match_dense_reference_on_perturbed_bracket(monkeypatch, p, window, cutoff, target):
+    pres = family_presentation(p.family)
+    bracket = pres.bracket
+
+    def perturbed(f1, n1, f2, n2, c):
+        terms, central = bracket(f1, n1, f2, n2, c)
+        if (f1, n1, f2, n2) == target:
+            (fam, idx, cf), *rest = terms
+            terms = ((fam, idx, 2 * cf if cf else GaussianRational(1)), *rest)
+        return terms, central
+
+    monkeypatch.setattr(pres, "bracket", perturbed)
+    report = check_relations(p, window, cutoff)
+    failing = [e for e in report.entries if not e.ok]
+    assert [(e.name, e.indices) for e in failing] == [(f"[{target[0]},{target[2]}]", (target[1], target[3]))]
+    assert failing[0].detail != "|0>"  # the vacuum is annihilated by the perturbed term
+    got = [(e.name, e.indices, e.residual, e.detail) for e in report.entries]
+    assert got == _dense_relations(p, window, cutoff)
+
+
+@pytest.mark.parametrize("p", [params("ns", "bs", Fraction(1, 3)), params("n2", "unitary", Fraction(1, 2), 1, 1)])
+def test_measured_central_charge_matches_dense_reference(p):
+    vac = FockVector.vacuum(p.content)
+    l0 = make_mode(p, "L", half(0))
+    defect = _dense_relation_defect(
+        make_mode(p, "L", half(4)), make_mode(p, "L", half(-4)), [(4, l0)], GaussianRational(0), next(iter(vac.states()))
+    )
+    assert measure_central_charge(p) == (2 * inner_product(vac, defect)).real_part()
