@@ -146,19 +146,50 @@ def enumerate_basis(content: FieldContent, max_weight: HalfInt) -> list[FockStat
 
 
 @lru_cache(maxsize=None)
-def state_norm_sq(state: FockState) -> Fraction:
+def state_norm_sq(state: FockState) -> int:
     """Squared norm of a basis state: products of m^k * k! over boson modes.
 
     Fermion modes contribute a factor 1 each.
     """
-    result = Fraction(1)
+    result = 1
     for species in state.bosons:
-        mult: dict[int, int] = {}
-        for m in species:
-            mult[m] = mult.get(m, 0) + 1
-        for m, k in mult.items():
-            result *= Fraction(m) ** k * factorial(k)
+        for m in set(species):
+            k = species.count(m)
+            result *= m**k * factorial(k)
     return result
+
+
+class StateTable:
+    """Integer ids for the basis states of one field content.
+
+    A state gets the next free id the first time it is met, so the table
+    grows with the states the operators reach and holds no scalars of any
+    realization.  Per id it keeps the state, its twice-weight and its
+    integer squared norm.
+    """
+
+    __slots__ = ("states", "twice", "norms", "_ids")
+
+    def __init__(self):
+        self.states: list[FockState] = []
+        self.twice: list[int] = []
+        self.norms: list[int] = []
+        self._ids: dict[FockState, int] = {}
+
+    def id_of(self, state: FockState) -> int:
+        sid = self._ids.get(state)
+        if sid is None:
+            sid = self._ids[state] = len(self.states)
+            self.states.append(state)
+            self.twice.append(state.weight.twice)
+            self.norms.append(state_norm_sq(state))
+        return sid
+
+
+@lru_cache(maxsize=None)
+def state_table(content: FieldContent) -> StateTable:
+    """The one state table of a field content, made on first use."""
+    return StateTable()
 
 
 class FockVector:
@@ -219,17 +250,8 @@ class FockVector:
         out.terms = {s: c * coeff for s, c in self.terms.items()}
         return out
 
-    def max_weight(self) -> HalfInt:
-        """Largest state weight in the support; 0 for the zero vector."""
-        if not self.terms:
-            return half(0)
-        return half(max(s.weight.twice for s in self.terms))
-
     def states(self) -> Iterable[FockState]:
         return self.terms.keys()
-
-    def coefficient(self, state: FockState) -> GaussianRational:
-        return self.terms.get(state, GaussianRational(0))
 
     def norm_sq(self) -> Fraction:
         """Exact squared norm with respect to the Fock inner product."""

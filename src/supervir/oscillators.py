@@ -11,6 +11,11 @@ Primitives:
     :J^2:, :dPhi Phi:, :J Phi:, :Phi Phi'": (BilinearSpec),
   * the alternating tail sums  sum_{l>=1} (-1)^l A_{m+l}.
 
+Arithmetic is in Python ints: primitives act on the state ids of a
+StateTable with integer coefficients over a fixed denominator, and a
+ModeOperator's memoized columns are Gaussian-integer (id, re, im)
+triples over one common denominator.
+
 Sign convention: a state stores fermion modes per species in strictly
 decreasing order, species blocks concatenated left to right; applying a
 fermion mode counts the transpositions needed to reach its canonical
@@ -22,9 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Callable, Literal, Optional
 
-from .fock import FockState, FockVector
+from .fock import FockState, FockVector, StateTable, state_table
 from .halfint import HalfInt, half
 from .scalars import GaussianRational
 
@@ -36,21 +42,19 @@ from .scalars import GaussianRational
 
 @dataclass(frozen=True)
 class _Primitive:
-    def act(self, state: FockState) -> tuple[tuple[FockState, GaussianRational], ...]:
-        raise NotImplementedError
+    """One primitive action, with a parity and a weight_shift.  `act` maps
+    the state with id `sid` of a state table to its integer column
+    ((id, numerator), ...); the coefficients are numerator / denominator."""
 
-    @property
-    def parity(self) -> int:
-        raise NotImplementedError
+    denominator = 1
 
-    @property
-    def weight_shift(self) -> Optional[HalfInt]:
+    def act(self, table: StateTable, sid: int) -> tuple[tuple[int, int], ...]:
         raise NotImplementedError
 
 
 @lru_cache(maxsize=None)
-def _act_cached(prim: _Primitive, state: FockState):
-    return prim.act(state)
+def _act_cached(prim: _Primitive, table: StateTable, sid: int):
+    return prim.act(table, sid)
 
 
 @dataclass(frozen=True)
@@ -64,7 +68,8 @@ class _BosonMode(_Primitive):
     def weight_shift(self) -> HalfInt:
         return half(2 * self.m)
 
-    def act(self, state: FockState):
+    def act(self, table, sid):
+        state = table.states[sid]
         if self.species >= len(state.bosons):
             raise ValueError(f"boson species {self.species} out of range")
         modes = state.bosons[self.species]
@@ -72,21 +77,17 @@ class _BosonMode(_Primitive):
         if m == 0:
             return ()
         if m < 0:
-            created = -m
-            new = tuple(sorted(modes + (created,), reverse=True))
-            bos = state.bosons[: self.species] + (new,) + state.bosons[self.species + 1 :]
-            return ((FockState(bos, state.fermions), GaussianRational(1)),)
-        mult = modes.count(m)
-        if mult == 0:
-            return ()
-        idx = modes.index(m)
-        new = modes[:idx] + modes[idx + 1 :]
+            new = tuple(sorted(modes + (-m,), reverse=True))
+            coeff = 1
+        else:
+            mult = modes.count(m)
+            if mult == 0:
+                return ()
+            idx = modes.index(m)
+            new = modes[:idx] + modes[idx + 1 :]
+            coeff = m * mult
         bos = state.bosons[: self.species] + (new,) + state.bosons[self.species + 1 :]
-        return ((FockState(bos, state.fermions), GaussianRational(Fraction(m * mult))),)
-
-
-def _fermion_crossings(state: FockState, species: int, position: int) -> int:
-    return sum(len(state.fermions[s]) for s in range(species)) + position
+        return ((table.id_of(FockState(bos, state.fermions)), coeff),)
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,8 @@ class _FermionMode(_Primitive):
     def weight_shift(self) -> HalfInt:
         return half(self.n_twice)
 
-    def act(self, state: FockState):
+    def act(self, table, sid):
+        state = table.states[sid]
         if self.species >= len(state.fermions):
             raise ValueError(f"fermion species {self.species} out of range")
         modes = state.fermions[self.species]
@@ -112,16 +114,16 @@ class _FermionMode(_Primitive):
             pos = 0
             while pos < len(modes) and modes[pos] > created:
                 pos += 1
-            sign = -1 if _fermion_crossings(state, self.species, pos) % 2 else 1
             new = modes[:pos] + (created,) + modes[pos:]
         else:
             if t not in modes:
                 return ()
             pos = modes.index(t)
-            sign = -1 if _fermion_crossings(state, self.species, pos) % 2 else 1
             new = modes[:pos] + modes[pos + 1 :]
+        crossings = sum(len(modes) for modes in state.fermions[: self.species]) + pos
+        sign = -1 if crossings % 2 else 1
         fer = state.fermions[: self.species] + (new,) + state.fermions[self.species + 1 :]
-        return ((FockState(state.bosons, fer), GaussianRational(sign)),)
+        return ((table.id_of(FockState(state.bosons, fer)), sign),)
 
 
 FactorKind = Literal["J", "Phi", "dPhi"]
@@ -159,7 +161,8 @@ class BilinearSpec:
 
 
 def _left_factor_data(spec: BilinearSpec):
-    """(cutoff_twice, coefficient(a_twice), primitive factory) for the left slot.
+    """(cutoff_twice, coefficient(a_twice), primitive factory) for the left
+    slot; coefficients are over _Bilinear.denominator.
 
     cutoff is the largest index in the creation branch of the normal
     ordering, on the grading of the underlying unshifted series; the
@@ -167,11 +170,11 @@ def _left_factor_data(spec: BilinearSpec):
     zero operators or zero coefficients.
     """
     if spec.left_kind == "J":
-        return -2, lambda t: Fraction(1), lambda t: _BosonMode(spec.left_species, t // 2)
+        return -2, lambda t: 1, lambda t: _BosonMode(spec.left_species, t // 2)
     if spec.left_kind == "Phi":
-        return -1, lambda t: Fraction(1), lambda t: _FermionMode(spec.left_species, t)
+        return -1, lambda t: 1, lambda t: _FermionMode(spec.left_species, t)
     # dPhi: coefficient (-a - 1/2) on Phi_a, creation branch a <= -3/2
-    return -3, lambda t: Fraction(-t - 1, 2), lambda t: _FermionMode(spec.left_species, t)
+    return -3, lambda t: -t - 1, lambda t: _FermionMode(spec.left_species, t)
 
 
 def _right_factor(spec: BilinearSpec) -> Callable[[int], _Primitive]:
@@ -180,10 +183,18 @@ def _right_factor(spec: BilinearSpec) -> Callable[[int], _Primitive]:
     return lambda t: _FermionMode(spec.right_species, t)
 
 
+def _nonzero(acc: dict[int, int]) -> tuple[tuple[int, int], ...]:
+    return tuple((s, c) for s, c in acc.items() if c)
+
+
 @dataclass(frozen=True)
 class _Bilinear(_Primitive):
     spec: BilinearSpec
     k_twice: int
+
+    @property
+    def denominator(self) -> int:
+        return 2 if self.spec.left_kind == "dPhi" else 1
 
     @property
     def parity(self) -> int:
@@ -193,47 +204,27 @@ class _Bilinear(_Primitive):
     def weight_shift(self) -> HalfInt:
         return half(self.k_twice)
 
-    def act(self, state: FockState):
-        spec = self.spec
-        k = self.k_twice
-        w = state.weight.twice
-        cutoff, coeff_of, left_prim = _left_factor_data(spec)
-        right_prim = _right_factor(spec)
-        koszul = -1 if spec.left_parity and spec.right_parity else 1
+    def act(self, table, sid):
+        acc: dict[int, int] = {}
+        for first, second, factor in _bilinear_branches(self.spec, self.k_twice, table.twice[sid]):
+            for s1, c1 in _act_cached(first, table, sid):
+                for s2, c2 in _act_cached(second, table, s1):
+                    acc[s2] = acc.get(s2, 0) + c1 * c2 * factor
+        return _nonzero(acc)
 
-        acc: dict[FockState, GaussianRational] = {}
 
-        def add(s, c):
-            prev = acc.get(s)
-            tot = c if prev is None else prev + c
-            if tot.is_zero():
-                acc.pop(s, None)
-            else:
-                acc[s] = tot
-
-        # creation branch: X_a (Y_{k-a} state), a <= cutoff, k - a <= w
-        a = cutoff
-        while k - a <= w:
-            factor = coeff_of(a)
-            if factor != 0:
-                yprim = right_prim(k - a)
-                xprim = left_prim(a)
-                for s1, c1 in _act_cached(yprim, state):
-                    for s2, c2 in _act_cached(xprim, s1):
-                        add(s2, c1 * c2 * factor)
-            a -= 2
-        # annihilation branch: koszul * Y_{k-a} (X_a state), cutoff < a <= w
-        a = cutoff + 2
-        while a <= w:
-            factor = coeff_of(a)
-            if factor != 0:
-                xprim = left_prim(a)
-                yprim = right_prim(k - a)
-                for s1, c1 in _act_cached(xprim, state):
-                    for s2, c2 in _act_cached(yprim, s1):
-                        add(s2, c1 * c2 * (koszul * factor))
-            a += 2
-        return tuple(acc.items())
+@lru_cache(maxsize=None)
+def _bilinear_branches(spec: BilinearSpec, k: int, w: int) -> tuple[tuple[_Primitive, _Primitive, int], ...]:
+    """The nonzero terms (first, second, numerator) of mode k of a bilinear
+    on states of twice-weight w: second o first, times numerator."""
+    cutoff, coeff_of, left_prim = _left_factor_data(spec)
+    right_prim = _right_factor(spec)
+    koszul = -1 if spec.left_parity and spec.right_parity else 1
+    # creation branch: X_a (Y_{k-a} state), a <= cutoff, k - a <= w;
+    # annihilation branch: koszul * Y_{k-a} (X_a state), cutoff < a <= w
+    branches = [(right_prim(k - a), left_prim(a), coeff_of(a)) for a in range(cutoff, k - w - 1, -2)]
+    branches += [(left_prim(a), right_prim(k - a), koszul * coeff_of(a)) for a in range(cutoff + 2, w + 1, 2)]
+    return tuple(b for b in branches if b[2])
 
 
 @dataclass(frozen=True)
@@ -248,23 +239,14 @@ class _TailSum(_Primitive):
 
     weight_shift = None  # mixes weights by construction
 
-    def act(self, state: FockState):
-        w = state.weight.twice
-        acc: dict[FockState, GaussianRational] = {}
-        l = 1
-        while self.m_twice + 2 * l <= w:
+    def act(self, table, sid):
+        acc: dict[int, int] = {}
+        for l in range(1, (table.twice[sid] - self.m_twice) // 2 + 1):
             t = self.m_twice + 2 * l
             prim = _BosonMode(self.species, t // 2) if self.kind == "J" else _FermionMode(self.species, t)
-            sign = -1 if l % 2 else 1
-            for s, c in _act_cached(prim, state):
-                prev = acc.get(s)
-                tot = c * GaussianRational(sign) if prev is None else prev + c * GaussianRational(sign)
-                if tot.is_zero():
-                    acc.pop(s, None)
-                else:
-                    acc[s] = tot
-            l += 1
-        return tuple(acc.items())
+            for s, c in _act_cached(prim, table, sid):
+                acc[s] = acc.get(s, 0) + (-c if l % 2 else c)
+        return _nonzero(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -273,24 +255,31 @@ class _TailSum(_Primitive):
 
 
 class ModeOperator:
-    """A finite sum  sum_i  c_i * P_{i,1} o P_{i,2} o ... of primitives.
+    """A finite sum  (1/denom) sum_i (re_i + im_i i) P_{i,1} o P_{i,2} o ...
+    of primitives, with integer re_i, im_i and the primitives' integer
+    actions, so every column is a Gaussian-integer vector over denom.
 
     Chains apply right to left.  Each operator carries a parity shift
     and, when all terms shift weight uniformly, a declared weight shift
     (None otherwise, e.g. for tail sums).
     """
 
-    __slots__ = ("terms", "parity", "weight_shift", "_state_cache")
+    __slots__ = ("terms", "denom", "parity", "weight_shift", "_columns", "_state_cache")
 
     def __init__(
         self,
-        terms: tuple[tuple[GaussianRational, tuple[_Primitive, ...]], ...],
+        terms: tuple[tuple[int, int, tuple[_Primitive, ...]], ...],
         parity: int,
         weight_shift: Optional[HalfInt],
+        denom: int = 1,
     ):
-        self.terms = terms
+        terms = tuple(t for t in terms if t[0] or t[1])
+        g = gcd(denom, *(x for re, im, _ in terms for x in (re, im)))
+        self.terms = tuple((re // g, im // g, chain) for re, im, chain in terms)
+        self.denom = denom // g
         self.parity = parity
         self.weight_shift = weight_shift
+        self._columns: dict[StateTable, dict[int, tuple]] = {}
         self._state_cache: dict[FockState, FockVector] = {}
 
     # -- constructors ------------------------------------------------------
@@ -301,11 +290,11 @@ class ModeOperator:
 
     @staticmethod
     def identity() -> "ModeOperator":
-        return ModeOperator(((GaussianRational(1), ()),), 0, half(0))
+        return ModeOperator(((1, 0, ()),), 0, half(0))
 
     @staticmethod
     def from_primitive(prim: _Primitive) -> "ModeOperator":
-        return ModeOperator(((GaussianRational(1), (prim,)),), prim.parity, prim.weight_shift)
+        return ModeOperator(((1, 0, (prim,)),), prim.parity, prim.weight_shift, prim.denominator)
 
     # -- algebra -------------------------------------------------------------
 
@@ -313,15 +302,13 @@ class ModeOperator:
         coeff = GaussianRational.coerce(coeff)
         if coeff.is_zero():
             return ModeOperator.zero()
-        return ModeOperator(
-            tuple((c * coeff, chain) for c, chain in self.terms), self.parity, self.weight_shift
-        )
+        q = lcm(coeff.re.denominator, coeff.im.denominator)
+        a, b = int(coeff.re * q), int(coeff.im * q)
+        terms = tuple((re * a - im * b, re * b + im * a, chain) for re, im, chain in self.terms)
+        return ModeOperator(terms, self.parity, self.weight_shift, self.denom * q)
 
     def __rmul__(self, coeff):
         return self.scale(coeff)
-
-    def __neg__(self):
-        return self.scale(-1)
 
     def __add__(self, other: "ModeOperator") -> "ModeOperator":
         if not self.terms:
@@ -331,7 +318,10 @@ class ModeOperator:
         if self.parity != other.parity:
             raise ValueError("cannot add operators of different parity")
         shift = self.weight_shift if self.weight_shift == other.weight_shift else None
-        return ModeOperator(self.terms + other.terms, self.parity, shift)
+        denom = lcm(self.denom, other.denom)
+        terms = tuple((re * (denom // op.denom), im * (denom // op.denom), chain)
+                      for op in (self, other) for re, im, chain in op.terms)
+        return ModeOperator(terms, self.parity, shift, denom)
 
     def __sub__(self, other: "ModeOperator") -> "ModeOperator":
         return self + other.scale(-1)
@@ -339,15 +329,15 @@ class ModeOperator:
     def compose(self, other: "ModeOperator") -> "ModeOperator":
         """self applied after other."""
         terms = tuple(
-            (c1 * c2, chain1 + chain2)
-            for c1, chain1 in self.terms
-            for c2, chain2 in other.terms
+            (r1 * r2 - i1 * i2, r1 * i2 + i1 * r2, chain1 + chain2)
+            for r1, i1, chain1 in self.terms
+            for r2, i2, chain2 in other.terms
         )
         if self.weight_shift is None or other.weight_shift is None:
             shift = None
         else:
             shift = self.weight_shift + other.weight_shift
-        return ModeOperator(terms, (self.parity + other.parity) % 2, shift)
+        return ModeOperator(terms, (self.parity + other.parity) % 2, shift, self.denom * other.denom)
 
     def __mul__(self, other):
         if isinstance(other, ModeOperator):
@@ -361,49 +351,46 @@ class ModeOperator:
 
     # -- action ---------------------------------------------------------------
 
+    def column(self, table: StateTable, sid: int) -> tuple[tuple[int, int, int], ...]:
+        """The image of state sid of `table` as ((id, re, im), ...), numerators
+        over self.denom; memoized per table."""
+        memo = self._columns.setdefault(table, {})
+        column = memo.get(sid)
+        if column is None:
+            total: dict[int, list[int]] = {}
+            for re, im, chain in self.terms:
+                vec = {sid: 1}
+                for prim in reversed(chain):
+                    nxt: dict[int, int] = {}
+                    for s, c in vec.items():
+                        for s2, c2 in _act_cached(prim, table, s):
+                            nxt[s2] = nxt.get(s2, 0) + c * c2
+                    vec = {s: c for s, c in nxt.items() if c}
+                for s, c in vec.items():
+                    acc = total.setdefault(s, [0, 0])
+                    acc[0] += re * c
+                    acc[1] += im * c
+            column = memo[sid] = tuple((s, re, im) for s, (re, im) in total.items() if re or im)
+        return column
+
     def apply_state(self, state: FockState) -> FockVector:
         cached = self._state_cache.get(state)
         if cached is not None:
             return cached
-        total: dict[FockState, GaussianRational] = {}
-        for coeff, chain in self.terms:
-            vec = {state: coeff}
-            for prim in reversed(chain):
-                nxt: dict[FockState, GaussianRational] = {}
-                for s, c in vec.items():
-                    for s2, c2 in _act_cached(prim, s):
-                        prev = nxt.get(s2)
-                        tot = c * c2 if prev is None else prev + c * c2
-                        if tot.is_zero():
-                            nxt.pop(s2, None)
-                        else:
-                            nxt[s2] = tot
-                vec = nxt
-                if not vec:
-                    break
-            for s, c in vec.items():
-                prev = total.get(s)
-                tot = c if prev is None else prev + c
-                if tot.is_zero():
-                    total.pop(s, None)
-                else:
-                    total[s] = tot
-        result = FockVector(total)
+        table = state_table(state.content)
+        d = self.denom
+        result = FockVector.__new__(FockVector)
+        result.terms = {
+            table.states[s]: GaussianRational(Fraction(re, d), Fraction(im, d))
+            for s, re, im in self.column(table, table.id_of(state))
+        }
         self._state_cache[state] = result
         return result
 
     def __call__(self, vec: FockVector) -> FockVector:
-        total: dict[FockState, GaussianRational] = {}
+        out = FockVector.zero()
         for state, coeff in vec.terms.items():
-            for s, c in self.apply_state(state).terms.items():
-                prev = total.get(s)
-                tot = c * coeff if prev is None else prev + c * coeff
-                if tot.is_zero():
-                    total.pop(s, None)
-                else:
-                    total[s] = tot
-        out = FockVector.__new__(FockVector)
-        out.terms = total
+            out = out + self.apply_state(state).scale(coeff)
         return out
 
 

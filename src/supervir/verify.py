@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import lcm
 from typing import Optional
 
-from .fock import FockState, FockVector, enumerate_basis, inner_product, state_norm_sq
+from .fock import FockState, FockVector, StateTable, enumerate_basis, inner_product, state_norm_sq, state_table
 from .halfint import HalfInt, half, halfint_range
 from .oscillators import ModeOperator
 from .realizations import RealizationParams, make_mode, realize_word
@@ -25,6 +25,11 @@ from .superalg import (
     family_presentation,
     pbw_words,
 )
+from .walgebra import _binom
+
+
+def _gaussian(re: int, im: int, denom: int) -> GaussianRational:
+    return GaussianRational(Fraction(re, denom), Fraction(im, denom))
 
 
 @dataclass
@@ -74,23 +79,57 @@ class CheckReport:
         }
 
 
-def _relation_defect(a: ModeOperator, b: ModeOperator, rhs: list, central: GaussianRational, state: FockState) -> FockVector:
-    """([a, b] - sum_i c_i C_i - central) applied to one basis state, for the
+def _relation_defect(a: ModeOperator, b: ModeOperator, rhs: list, central, table: StateTable):
+    """([a, b] - sum_i c_i C_i - central) on the states of `table`, for the
     super-commutator [a, b] and rhs = [(c_i, C_i), ...].
 
-    Every term goes into one accumulator straight from the memoized
-    apply_state columns; no intermediate vector is built.
+    Returns (L, defect): defect(sid) maps state ids to the Gaussian-integer
+    numerators [re, im] of the defect of state sid over the common
+    denominator L.  Every term is added in Python ints straight from the
+    memoized integer columns; no intermediate vector is built.
     """
     sign = -1 if (a.parity and b.parity) else 1
-    parts = [(c, a.apply_state(s)) for s, c in b.apply_state(state).terms.items()]
-    parts += [(c * -sign, b.apply_state(s)) for s, c in a.apply_state(state).terms.items()]
-    parts += [(-cf, op.apply_state(state)) for cf, op in rhs]
-    acc = {state: -central}
-    for coeff, column in parts:
-        for s, c in column.terms.items():
-            prev = acc.get(s)
-            acc[s] = c * coeff if prev is None else prev + c * coeff
-    return FockVector(acc)
+    scalars = [GaussianRational.coerce(cf) * Fraction(-1, op.denom) for cf, op in rhs]
+    scalars.append(-GaussianRational.coerce(central))
+    denom = lcm(a.denom * b.denom, *(x.denominator for z in scalars for x in (z.re, z.im)))
+    *rhs_num, (zr, zi) = [(int(z.re * denom), int(z.im * denom)) for z in scalars]
+    ab = denom // (a.denom * b.denom)
+    products = ((b, a, ab), (a, b, -sign * ab))
+
+    def defect(sid: int) -> dict[int, list[int]]:
+        acc: dict[int, list[int]] = {sid: [zr, zi]}
+        for first, second, k in products:
+            for t, r1, i1 in first.column(table, sid):
+                r1, i1 = k * r1, k * i1
+                for u, r2, i2 in second.column(table, t):
+                    entry = acc.setdefault(u, [0, 0])
+                    entry[0] += r1 * r2 - i1 * i2
+                    entry[1] += r1 * i2 + i1 * r2
+        for (mr, mi), (_, op) in zip(rhs_num, rhs):
+            for u, r, i in op.column(table, sid):
+                entry = acc.setdefault(u, [0, 0])
+                entry[0] += mr * r - mi * i
+                entry[1] += mr * i + mi * r
+        return acc
+
+    return denom, defect
+
+
+def _relation_residual(a: ModeOperator, b: ModeOperator, rhs: list, central, table: StateTable,
+                       ids: list[int]) -> tuple[Fraction, Optional[str]]:
+    """Sum over the states `ids` of |defect|^2 (see _relation_defect), and
+    the first state, in the order of `ids`, whose defect is nonzero."""
+    denom, defect = _relation_defect(a, b, rhs, central, table)
+    norms = table.norms
+    total = 0
+    witness = None
+    for sid in ids:
+        size = sum((re * re + im * im) * norms[u] for u, (re, im) in defect(sid).items())
+        if size:
+            total += size
+            if witness is None:
+                witness = repr(table.states[sid])
+    return Fraction(total, denom * denom), witness
 
 
 def lowest_weight_data(params: RealizationParams) -> LowestWeightData:
@@ -166,9 +205,9 @@ def fock_pairing_crosscheck(content, max_weight: HalfInt) -> CheckReport:
     witness = None
     for s in basis:
         for t in basis:
-            direct = inner_product(FockVector.basis(s), FockVector.basis(t))
+            direct = state_norm_sq(s) if s == t else 0
             reduced = _free_pairing(creation_word(s), creation_word(t))
-            diff = (direct - reduced).norm_sq()
+            diff = (direct - reduced) ** 2
             if diff:
                 residual += diff
                 if witness is None:
@@ -197,7 +236,8 @@ def check_relations(
         raise ValueError("mode_window must be at least 1")
     weight_cutoff = HalfInt(weight_cutoff)
     pres = family_presentation(params.family)
-    basis = enumerate_basis(params.content, weight_cutoff)
+    table = state_table(params.content)
+    ids = [table.id_of(s) for s in enumerate_basis(params.content, weight_cutoff)]
     c = params.central_charge()
     report = CheckReport("relations", {**params.to_config(), "window": mode_window, "cutoff": str(weight_cutoff)})
     lo, hi = half(-2 * mode_window), half(2 * mode_window)
@@ -208,14 +248,7 @@ def check_relations(
                 b = make_mode(params, f2, n2)
                 terms, central = pres.bracket(f1, n1, f2, n2, c)
                 rhs_ops = [(cf, make_mode(params, fam, idx)) for fam, idx, cf in terms]
-                residual = Fraction(0)
-                witness = None
-                for state in basis:
-                    defect = _relation_defect(a, b, rhs_ops, central, state)
-                    if not defect.is_zero():
-                        residual += defect.norm_sq()
-                        if witness is None:
-                            witness = repr(state)
+                residual, witness = _relation_residual(a, b, rhs_ops, central, table, ids)
                 report.entries.append(
                     ResidualEntry(f"[{f1},{f2}]", (n1, n2), residual, witness)
                 )
@@ -224,13 +257,14 @@ def check_relations(
 
 def measure_central_charge(params: RealizationParams) -> Fraction:
     """2 <vac, ([L_2, L_-2] - 4 L_0) vac>, read off from the realization."""
-    vac = FockVector.vacuum(params.content)
-    vac_state = next(iter(vac.states()))
+    table = state_table(params.content)
+    vac = table.id_of(FockState.vacuum(params.content))
     l2 = make_mode(params, "L", half(4))
     lm2 = make_mode(params, "L", half(-4))
     l0 = make_mode(params, "L", half(0))
-    v = _relation_defect(l2, lm2, [(GaussianRational(4), l0)], ZERO, vac_state)
-    return (2 * inner_product(vac, v)).real_part()
+    denom, defect = _relation_defect(l2, lm2, [(4, l0)], 0, table)
+    re, im = defect(vac).get(vac, (0, 0))  # <vac, v> = v_vac, the vacuum has norm 1
+    return (2 * _gaussian(re, im, denom)).real_part()
 
 
 # ---------------------------------------------------------------------------
@@ -258,22 +292,28 @@ def _adjoint_defect(
         d_adj = make_mode(params, role, -n)
         label = f"{role}({n})"
     # only nonzero matrix elements: <D u, v> = conj((D u)_v) N(v) and
-    # <u, D' v> = (D' v)_u N(u), keyed by (index of u, index of v)
-    index = {s: i for i, s in enumerate(basis)}
-    lhs = {(i, index[s]): c.conjugate() * state_norm_sq(s)
-           for i, u in enumerate(basis) for s, c in d.apply_state(u).terms.items() if s in index}
-    rhs = {(index[s], j): c * state_norm_sq(s)
-           for j, v in enumerate(basis) for s, c in d_adj.apply_state(v).terms.items() if s in index}
-    residual = Fraction(0)
+    # <u, D' v> = (D' v)_u N(u), keyed by (index of u, index of v); both
+    # sides are Gaussian-integer numerators over denom
+    table = state_table(params.content)
+    ids = [table.id_of(s) for s in basis]
+    index = {sid: i for i, sid in enumerate(ids)}
+    norms = table.norms
+    denom = lcm(d.denom, d_adj.denom)
+    kl, kr = denom // d.denom, denom // d_adj.denom
+    lhs = {(i, index[s]): (kl * re * norms[s], -kl * im * norms[s])
+           for i, u in enumerate(ids) for s, re, im in d.column(table, u) if s in index}
+    rhs = {(index[s], j): (kr * re * norms[s], kr * im * norms[s])
+           for j, v in enumerate(ids) for s, re, im in d_adj.column(table, v) if s in index}
+    total = 0
     witness = None
     for key in sorted(lhs.keys() | rhs.keys()):
-        left, right = lhs.get(key, ZERO), rhs.get(key, ZERO)
-        diff = left - right
-        if not diff.is_zero():
-            residual += diff.norm_sq()
+        (lr, li), (rr, ri) = lhs.get(key, (0, 0)), rhs.get(key, (0, 0))
+        if lr != rr or li != ri:
+            total += (lr - rr) ** 2 + (li - ri) ** 2
             if witness is None:
+                left, right = _gaussian(lr, li, denom), _gaussian(rr, ri, denom)
                 witness = f"{label}: u={basis[key[0]]!r} v={basis[key[1]]!r} lhs={left} rhs={right}"
-    return residual, witness
+    return Fraction(total, denom * denom), witness
 
 
 def check_weak_symmetry(
@@ -388,14 +428,6 @@ def oracle_compare(params: RealizationParams, max_level: HalfInt) -> CheckReport
 # ---------------------------------------------------------------------------
 
 
-def _binomial(x: Fraction, j: int) -> Fraction:
-    """Generalized binomial coefficient C(x, j) for rational x."""
-    out = Fraction(1)
-    for i in range(j):
-        out *= x - i
-    return out / factorial(j)
-
-
 def borcherds_consistency(
     params: RealizationParams, m: HalfInt, n: HalfInt, weight_cutoff: HalfInt
 ) -> CheckReport:
@@ -436,18 +468,11 @@ def borcherds_consistency(
     rec_residual += products[4].norm_sq()  # products vanish from j = 3 on
     report.entries.append(ResidualEntry("product_vectors", (), rec_residual))
 
-    basis = enumerate_basis(params.content, HalfInt(weight_cutoff))
+    table = state_table(params.content)
+    ids = [table.id_of(s) for s in enumerate_basis(params.content, HalfInt(weight_cutoff))]
     k = m + n
     rhs_ops = [(alpha, make_mode(params, "L", k))] if k.is_integer else []
-    central = gamma * _binomial(m.as_fraction() + Fraction(1, 2), 2) if k == 0 else ZERO
-    gm, gn = g(m), g(n)
-    residual = Fraction(0)
-    witness = None
-    for state in basis:
-        defect = _relation_defect(gm, gn, rhs_ops, central, state)
-        if not defect.is_zero():
-            residual += defect.norm_sq()
-            if witness is None:
-                witness = repr(state)
+    central = gamma * _binom(m.as_fraction() + Fraction(1, 2), 2) if k == 0 else ZERO
+    residual, witness = _relation_residual(g(m), g(n), rhs_ops, central, table, ids)
     report.entries.append(ResidualEntry("commutator", (m, n), residual, witness))
     return report

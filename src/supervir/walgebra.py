@@ -81,10 +81,6 @@ class LieSuperalgebra:
     def basis_vec(self, i: int) -> Vec:
         return {i: Fraction(1)}
 
-    def parity_of(self, v: Vec) -> Optional[int]:
-        ps = {self.parities[i] for i in v}
-        return ps.pop() if len(ps) == 1 else None
-
 
 # ---------------------------------------------------------------------------
 # loading and validation
@@ -603,6 +599,7 @@ def _coords_in_indices(g: LieSuperalgebra, v: Vec, indices: list[int]) -> dict[i
 
 
 def _binom(x: Fraction, j: int) -> Fraction:
+    """Generalized binomial coefficient C(x, j) for rational x."""
     out = Fraction(1)
     for i in range(j):
         out *= (x - i) / (i + 1)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from supervir.cli import main
 
 
@@ -126,3 +128,22 @@ def test_reports_deterministic_across_processes(tmp_path):
         assert code.returncode == 0, code.stderr
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("module,absent", [("supervir.verify", ("numpy", "scipy")), ("supervir.cli", ("scipy",))])
+def test_imports_stay_light(module, absent):
+    """The exact engine needs neither numpy nor scipy; importing either
+    would dominate the start-up time of a check (the CLI's bounds command
+    needs numpy, nothing needs scipy)."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import supervir
+
+    src = str(Path(supervir.__file__).resolve().parent.parent)
+    code = f"import sys, {module}; print(' '.join(m for m in {absent!r} if m in sys.modules))"
+    done = subprocess.run([sys.executable, "-c", code], env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src},
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []

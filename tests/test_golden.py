@@ -1,16 +1,18 @@
 """`check` reports must match, byte for byte, a golden set recorded from a
 known-good commit.
 
-The four configurations run at window 2 and cutoff weight 3.  Each golden
+The configurations run at window 2 and cutoff weight 3.  Each golden
 file was written by
 
-    PYTHONPATH=src python -m supervir.cli check --family F --variant V \
-        --kappa 1/2 [--eta 1] [--omega 1] --window 2 --cutoff 3 \
-        --output tests/golden/F_V.json
+    PYTHONPATH=src python -m supervir.cli check FLAGS --window 2 --cutoff 3 \
+        --output tests/golden/NAME.json
 
-with the flags listed in CONFIGS.  Regenerate a file only when a change
-of the report is intended, and say why in CHANGES.md; a kernel refactor
-must leave every byte as it is.
+with the NAME and FLAGS listed in CONFIGS.  Besides the four points at
+kappa = 1/2, two points carry denominators other than 2: the bare-mode
+control witness of ns/bs at kappa = -2/3 prints non-dyadic values, and
+n2/unitary runs at kappa = 1/3, eta = 2/5, omega = 3/7.  Regenerate a
+file only when a change of the report is intended, and say why in
+CHANGES.md; a kernel refactor must leave every byte as it is.
 """
 
 from pathlib import Path
@@ -26,6 +28,9 @@ CONFIGS = {
     "ns_unitary": ["--family", "ns", "--variant", "unitary", "--kappa", "1/2", "--eta", "1"],
     "n2_unitary": ["--family", "n2", "--variant", "unitary", "--kappa", "1/2", "--eta", "1", "--omega", "1"],
     "n2_bs": ["--family", "n2", "--variant", "bs", "--kappa", "1/2"],
+    "ns_bs_kappa_m2_3": ["--family", "ns", "--variant", "bs", "--kappa=-2/3"],
+    "n2_unitary_kappa_1_3": ["--family", "n2", "--variant", "unitary", "--kappa", "1/3", "--eta", "2/5",
+                             "--omega", "3/7"],
 }
 
 

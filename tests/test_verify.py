@@ -332,6 +332,41 @@ def test_relations_match_dense_reference_on_perturbed_bracket(monkeypatch, p, wi
     assert got == _dense_relations(p, window, cutoff)
 
 
+def test_adjoint_defect_matches_dense_reference_at_kappa_2_3():
+    """Matrix elements like 4/3 i: residuals over 3 and 9, not powers of 2."""
+    p = params("ns", "tilde", Fraction(2, 3))
+    basis = enumerate_basis(p.content, half(6))
+    for role, pair in (("L", (half(4), half(0))), ("G", (half(3), half(-1))), ("L", half(2))):
+        got = _adjoint_defect(p, role, pair, basis)
+        assert got[0].denominator % 3 == 0
+        assert got == _dense_adjoint_defect(p, role, pair, basis)
+
+
+def test_relations_match_dense_reference_with_non_dyadic_central_shift(monkeypatch):
+    """[L_1, L_{-1}] = 2 L_0 at kappa = 1/3 becomes 4 L_0 + 1/7 + 2i/5, so
+    the failing residual carries the denominators 3, 5 and 7."""
+    p = params("ns", "bs", Fraction(1, 3))
+    pres = family_presentation(p.family)
+    bracket = pres.bracket
+    target = ("L", half(2), "L", half(-2))
+
+    def perturbed(f1, n1, f2, n2, c):
+        terms, central = bracket(f1, n1, f2, n2, c)
+        if (f1, n1, f2, n2) == target:
+            (fam, idx, cf), *rest = terms
+            terms = ((fam, idx, 2 * cf), *rest)
+            central = central + GaussianRational(Fraction(1, 7), Fraction(2, 5))
+        return terms, central
+
+    monkeypatch.setattr(pres, "bracket", perturbed)
+    report = check_relations(p, 1, half(6))
+    failing = [e for e in report.entries if not e.ok]
+    assert [(e.name, e.indices) for e in failing] == [("[L,L]", (half(2), half(-2)))]
+    assert failing[0].residual.denominator % (3 * 5 * 7) == 0
+    got = [(e.name, e.indices, e.residual, e.detail) for e in report.entries]
+    assert got == _dense_relations(p, 1, half(6))
+
+
 @pytest.mark.parametrize("p", [params("ns", "bs", Fraction(1, 3)), params("n2", "unitary", Fraction(1, 2), 1, 1)])
 def test_measured_central_charge_matches_dense_reference(p):
     vac = FockVector.vacuum(p.content)
