@@ -6,7 +6,8 @@ discrete-series, unitary-range, collapsing and central-charge-identity
 tables; `bounds` runs the energy-bound diagnostics.
 
 Exit codes: 0 all checks pass (expected-failure controls must fail),
-1 a check failed, 2 usage or configuration error.  Reports are JSON
+1 a check failed, 2 usage or configuration error, 3 internal error (a
+consistency check inside the library failed).  Reports are JSON
 with all exact values serialized as "p/q" strings; two runs with the
 same configuration produce byte-identical output.
 """
@@ -335,9 +336,14 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        # a defect of the program, not a verdict on the realization
+        detail = " ".join(str(exc).split()) or "consistency check failed"
+        print(f"internal error: {detail}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -97,7 +97,10 @@ class HalfInt:
         return NotImplemented
 
     def __hash__(self):
-        return hash(Fraction(self.twice, 2))
+        # an integer value hashes as the equal int, as __eq__ requires;
+        # half-odd values equal no int, so any spread of them will do
+        twice = self.twice
+        return hash(twice >> 1) if not twice & 1 else hash((twice,))
 
     def __repr__(self):
         if self.twice % 2 == 0:

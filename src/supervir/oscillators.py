@@ -316,7 +316,7 @@ class ModeOperator:
         if not other.terms:
             return self
         if self.parity != other.parity:
-            raise ValueError("cannot add operators of different parity")
+            raise AssertionError("cannot add operators of different parity")
         shift = self.weight_shift if self.weight_shift == other.weight_shift else None
         denom = lcm(self.denom, other.denom)
         terms = tuple((re * (denom // op.denom), im * (denom // op.denom), chain)

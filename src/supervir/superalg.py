@@ -4,17 +4,18 @@ A Presentation stores generator families with their mode lattices and
 parities plus the structural bracket.  Everything downstream is exact:
 vacuum expectations reduce words with the relations and the adjoint rule
 A_n^dagger = A_{-n}; Gram matrices are tested for positive
-semidefiniteness by pivoted elimination over the rationals.
+semidefiniteness by pivoted fraction-free elimination over Z[i].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Optional
 
 from .halfint import HalfInt, half
-from .scalars import GaussianRational
+from .scalars import ONE, ZERO, GaussianRational
 
 _I = GaussianRational(0, 1)
 
@@ -54,6 +55,10 @@ class Presentation:
     bracket_fn(f1, n1, f2, n2, c) returns (terms, central) where terms
     is a tuple of (family, index, coefficient) and central multiplies
     the identity.
+
+    The reduction and expectation memos hold the tables of one
+    LowestWeightData at a time: reducing at a new point drops the old
+    point's tables, so a parameter sweep keeps one point in memory.
     """
 
     def __init__(self, name: str, families: tuple[GeneratorFamily, ...], bracket_fn):
@@ -63,7 +68,17 @@ class Presentation:
         self._parity = {fam.name: fam.parity for fam in families}
         self._integer = {fam.name: fam.integer_moded for fam in families}
         self._bracket_fn = bracket_fn
-        self._reduce_cache: dict = {}
+        self._memo_lw: Optional[LowestWeightData] = None
+        self._reduce_cache: dict = {}  # (family, index, word) -> reduced vector
+        self._expect_cache: dict = {}  # (left word, reduced word) -> <left.vac, word.vac>
+
+    def _bind(self, lw: LowestWeightData) -> None:
+        """Make the memos those of `lw`, dropping another point's tables."""
+        if lw is not self._memo_lw:
+            if lw != self._memo_lw:
+                self._reduce_cache.clear()
+                self._expect_cache.clear()
+            self._memo_lw = lw
 
     def parity(self, family: str) -> int:
         return self._parity[family]
@@ -216,17 +231,25 @@ def _ok_before(pres: Presentation, g: tuple[str, HalfInt], head: tuple[str, Half
     return n1 <= n2
 
 
+def _add_into(out: dict[Word, GaussianRational], vec: dict[Word, GaussianRational], factor) -> None:
+    """out += factor * vec, dropping the words whose coefficient cancels."""
+    for word, coeff in vec.items():
+        total = coeff * factor
+        old = out.get(word)
+        if old is not None:
+            total = old + total
+        if total:
+            out[word] = total
+        else:
+            out.pop(word, None)
+
+
 def _apply_generator(
     pres: Presentation, lw: LowestWeightData, fam: str, n: HalfInt, vec: dict[Word, GaussianRational]
 ) -> dict[Word, GaussianRational]:
     out: dict[Word, GaussianRational] = {}
     for word, coeff in vec.items():
-        for w2, c2 in _reduce(pres, lw, fam, n, word).items():
-            tot = out.get(w2, GaussianRational(0)) + coeff * c2
-            if tot.is_zero():
-                out.pop(w2, None)
-            else:
-                out[w2] = tot
+        _add_into(out, _reduce(pres, lw, fam, n, word), coeff)
     return out
 
 
@@ -234,11 +257,12 @@ def _reduce(
     pres: Presentation, lw: LowestWeightData, fam: str, n: HalfInt, word: Word
 ) -> dict[Word, GaussianRational]:
     """Normal-order (fam, n) applied to a PBW word acting on the vacuum."""
-    key = (lw, fam, n, word)
+    if lw is not pres._memo_lw:
+        pres._bind(lw)
+    key = (fam, n, word)
     cached = pres._reduce_cache.get(key)
     if cached is not None:
         return cached
-    one = GaussianRational(1)
     result: dict[Word, GaussianRational]
     if not word:
         if _annihilates_vacuum(pres, lw, fam, n):
@@ -252,60 +276,25 @@ def _reduce(
             else:
                 raise ValueError(f"odd family {fam} has no zero mode")
         else:
-            result = {((fam, n),): one}
+            result = {((fam, n),): ONE}
+    elif n < 0 and _ok_before(pres, (fam, n), word[0]):
+        result = {((fam, n),) + word: ONE}
     else:
-        head = word[0]
-        rest = word[1:]
-        g = (fam, n)
-        if n < 0 and _ok_before(pres, g, head):
-            result = {(g,) + word: one}
-        elif pres.parity(fam) == 1 and g == head:
+        (hf, hn), rest = word[0], word[1:]
+        result = {}
+        if pres.parity(fam) == 1 and (fam, n) == (hf, hn):
             # odd square: A_n A_n = (1/2){A_n, A_n}
-            terms, central = pres.bracket(fam, n, fam, n, lw.c)
-            result = {}
-            restv = {rest: one}
-            for f2, n2, cf in terms:
-                for w2, c2 in _apply_generator(pres, lw, f2, n2, restv).items():
-                    tot = result.get(w2, GaussianRational(0)) + cf * c2 * Fraction(1, 2)
-                    if tot.is_zero():
-                        result.pop(w2, None)
-                    else:
-                        result[w2] = tot
-            if not central.is_zero():
-                cc = central * Fraction(1, 2)
-                tot = result.get(rest, GaussianRational(0)) + cc
-                if tot.is_zero():
-                    result.pop(rest, None)
-                else:
-                    result[rest] = tot
+            factor = Fraction(1, 2)
         else:
-            hf, hn = head
-            sign = -1 if (pres.parity(fam) and pres.parity(hf)) else 1
             # move g past the head:  g . head = sign * head . g + [g, head]
-            moved = _apply_generator(pres, lw, fam, n, {rest: one})
-            result = {}
-            for w2, c2 in _apply_generator(pres, lw, hf, hn, moved).items():
-                cc = c2 * sign
-                tot = result.get(w2, GaussianRational(0)) + cc
-                if tot.is_zero():
-                    result.pop(w2, None)
-                else:
-                    result[w2] = tot
-            terms, central = pres.bracket(fam, n, hf, hn, lw.c)
-            restv = {rest: one}
-            for f2, n2, cf in terms:
-                for w2, c2 in _apply_generator(pres, lw, f2, n2, restv).items():
-                    tot = result.get(w2, GaussianRational(0)) + cf * c2
-                    if tot.is_zero():
-                        result.pop(w2, None)
-                    else:
-                        result[w2] = tot
-            if not central.is_zero():
-                tot = result.get(rest, GaussianRational(0)) + central
-                if tot.is_zero():
-                    result.pop(rest, None)
-                else:
-                    result[rest] = tot
+            sign = -1 if (pres.parity(fam) and pres.parity(hf)) else 1
+            _add_into(result, _apply_generator(pres, lw, hf, hn, _reduce(pres, lw, fam, n, rest)), sign)
+            factor = 1
+        terms, central = pres.bracket(fam, n, hf, hn, lw.c)
+        for f2, n2, cf in terms:
+            _add_into(result, _reduce(pres, lw, f2, n2, rest), cf * factor)
+        if central:
+            _add_into(result, {rest: central}, factor)
     pres._reduce_cache[key] = result
     return result
 
@@ -316,18 +305,39 @@ def word_weight(word: Word) -> HalfInt:
 
 def vacuum_expectation(left: Word, right: Word, lw: LowestWeightData, pres: Presentation) -> GaussianRational:
     """<left.vac, right.vac> from the relations and A_n^dagger = A_{-n}."""
-    vec: dict[Word, GaussianRational] = {(): GaussianRational(1)}
+    pres._bind(lw)
+    vec: dict[Word, GaussianRational] = {(): ONE}
     for fam, n in reversed(right):
         vec = _apply_generator(pres, lw, fam, n, vec)
-        if not vec:
-            return GaussianRational(0)
-    # the adjoint of the left word reverses the factors, so the adjoint
-    # of the leftmost generator acts first
-    for fam, n in left:
-        vec = _apply_generator(pres, lw, fam, -n, vec)
-        if not vec:
-            return GaussianRational(0)
-    return vec.get((), GaussianRational(0))
+    total = ZERO
+    for word, coeff in vec.items():
+        value = _expectation(pres, lw, left, word)
+        if value:
+            total = total + coeff * value
+    return total
+
+
+def _expectation(pres: Presentation, lw: LowestWeightData, left: Word, word: Word) -> GaussianRational:
+    """<left.vac, word.vac> for a reduced word, by recursion on the left word.
+
+    With g the leftmost generator of left = g.u,  <g.u, w> = <u, g^dagger w>
+    and g^dagger w = sum c_w' w' is one reduction, so the value is
+    sum c_w' <u, w'>: pairs one level down, memoized per point.
+    """
+    if not left:
+        return ZERO if word else ONE
+    key = (left, word)
+    cached = pres._expect_cache.get(key)
+    if cached is not None:
+        return cached
+    (fam, n), rest = left[0], left[1:]
+    total = ZERO
+    for w2, c2 in _reduce(pres, lw, fam, -n, word).items():
+        value = _expectation(pres, lw, rest, w2)
+        if value:
+            total = total + c2 * value
+    pres._expect_cache[key] = total
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -435,11 +445,12 @@ class PsdResult:
     def witness_value(self, entries: list[list[GaussianRational]]) -> Optional[Fraction]:
         if self.witness is None:
             return None
-        n = len(self.witness)
-        total = GaussianRational(0)
-        for i in range(n):
-            for j in range(n):
-                total = total + self.witness[i].conjugate() * entries[i][j] * self.witness[j]
+        support = [(i, w) for i, w in enumerate(self.witness) if w]
+        total = ZERO
+        for i, wi in support:
+            row, ci = entries[i], wi.conjugate()
+            for j, wj in support:
+                total = total + ci * row[j] * wj
         return total.real_part()
 
 
@@ -451,6 +462,14 @@ def psd_check(gram: GramMatrix | list[list[GaussianRational]]) -> PsdResult:
     deficiency is admissible: zero pivots with identically zero residual
     rows pass.  On failure a witness vector v with <v, Gv> < 0 is
     produced.
+
+    The elimination is fraction-free (Bareiss) over Z[i]: with L the
+    common denominator of the entries, B = L*G, and M the last pivot's
+    minor, every active entry holds M times the Schur complement entry,
+    and the step through pivot p divides (B_pp B_ij - B_ip B_pj) exactly
+    by M.  M > 0 scales every remaining diagonal alike, so the pivot
+    order is that of the Schur complement; the pivot itself is
+    B_pp / (M L).
     """
     entries = gram.entries if isinstance(gram, GramMatrix) else gram
     n = len(entries)
@@ -460,69 +479,68 @@ def psd_check(gram: GramMatrix | list[list[GaussianRational]]) -> PsdResult:
             if a[i][j] != a[j][i].conjugate():
                 raise ValueError(f"matrix is not Hermitian at ({i},{j})")
 
+    scale = lcm(*(x.denominator for row in a for z in row for x in (z.re, z.im)))
+    re = [[z.re.numerator * (scale // z.re.denominator) for z in row] for row in a]
+    im = [[z.im.numerator * (scale // z.im.denominator) for z in row] for row in a]
+    minor = 1  # the pivot minor M of the steps taken so far
     active = list(range(n))
     pivots: list[Fraction] = []
-    # elimination history: (pivot_row, {row: multiplier}) in original indices
-    history: list[tuple[int, dict[int, GaussianRational]]] = []
+    # elimination history: (pivot row, B_pp, [(row, re B_ip, im B_ip)]) in
+    # original indices; the multiplier of row i is B_ip / B_pp
+    history: list[tuple[int, int, list[tuple[int, int, int]]]] = []
 
     def backtransform(seed: dict[int, GaussianRational]) -> list[GaussianRational]:
         # apply adjoints of the elimination steps in reverse:
         # E = I - sum mult[i] e_i e_p^T  =>  E^dagger v adds -conj(mult[i]) v_i to v_p
         v = dict(seed)
-        for p, mults in reversed(history):
-            acc = v.get(p, GaussianRational(0))
-            for i, mult in mults.items():
+        for p, d, column in reversed(history):
+            acc = v.get(p, ZERO)
+            for i, x, y in column:
                 if i in v:
-                    acc = acc - mult.conjugate() * v[i]
+                    acc = acc - GaussianRational(Fraction(x, d), Fraction(-y, d)) * v[i]
             if acc.is_zero():
                 v.pop(p, None)
             else:
                 v[p] = acc
-        return [v.get(i, GaussianRational(0)) for i in range(n)]
+        return [v.get(i, ZERO) for i in range(n)]
 
     while active:
-        diag = [(a[i][i].real_part(), i) for i in active]
-        best_val = max(d for d, _ in diag)
-        best_idx = min(i for d, i in diag if d == best_val)
-        if best_val > 0:
-            p = best_idx
-            d = a[p][p].real_part()
-            pivots.append(d)
+        p = max(active, key=lambda i: re[i][i])  # the first maximum: ties to the lowest index
+        d = re[p][p]
+        if d > 0:
+            pivots.append(Fraction(d, minor * scale))
             active.remove(p)
-            mults: dict[int, GaussianRational] = {}
-            for i in active:
-                if not a[i][p].is_zero():
-                    mults[i] = a[i][p] / GaussianRational(d)
-            for i in active:
-                mi = mults.get(i)
-                if mi is None:
-                    continue
-                for j in active:
-                    a[i][j] = a[i][j] - mi * a[p][j]
-            for j in active:
-                mj = mults.get(j)
-                if mj is not None:
-                    a[p][j] = GaussianRational(0)
-            for i in active:
-                a[i][p] = GaussianRational(0)
-            history.append((p, mults))
+            history.append((p, d, [(i, re[i][p], im[i][p]) for i in active if re[i][p] or im[i][p]]))
+            re_p, im_p = re[p], im[p]
+            for k, i in enumerate(active):
+                re_i, im_i = re[i], im[i]
+                x0, y0 = re_i[p], im_i[p]
+                # the upper triangle, mirrored:  B_ij <- (B_pp B_ij - B_ip B_pj) / M
+                for j in active[k:]:
+                    x, rx = divmod(d * re_i[j] - x0 * re_p[j] + y0 * im_p[j], minor)
+                    y, ry = divmod(d * im_i[j] - x0 * im_p[j] - y0 * re_p[j], minor)
+                    if rx or ry:
+                        raise AssertionError(f"inexact Bareiss division at ({i},{j})")
+                    re_i[j], im_i[j] = x, y
+                    re[j][i], im[j][i] = x, -y
+            minor = d
             continue
         # all remaining diagonals <= 0
-        negative = [i for d, i in diag if d < 0]
+        negative = [i for i in active if re[i][i] < 0]
         if negative:
-            i = min(negative)
-            pivots.append(a[i][i].real_part())
-            return PsdResult(False, pivots, backtransform({i: GaussianRational(1)}))
+            i = negative[0]
+            pivots.append(Fraction(re[i][i], minor * scale))
+            return PsdResult(False, pivots, backtransform({i: ONE}))
         offdiag = [
             (i, j)
             for ii, i in enumerate(active)
             for j in active[ii + 1 :]
-            if not a[i][j].is_zero()
+            if re[i][j] or im[i][j]
         ]
         if offdiag:
             r, s = offdiag[0]
-            b = a[r][s]
-            witness = backtransform({r: -b, s: GaussianRational(1)})
+            b = GaussianRational(Fraction(re[r][s], minor * scale), Fraction(im[r][s], minor * scale))
+            witness = backtransform({r: -b, s: ONE})
             return PsdResult(False, pivots, witness)
         pivots.extend(Fraction(0) for _ in active)
         return PsdResult(True, pivots)

@@ -11,6 +11,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from math import factorial
 
 from supervir.bounds import anticommutator_identity, norm_estimate
 from supervir.cli import main as cli_main
@@ -24,6 +25,7 @@ from supervir.superalg import (
     discrete_series,
     presentation_n2,
     presentation_ns,
+    presentation_virasoro,
     psd_check,
 )
 from supervir.verify import (
@@ -303,3 +305,68 @@ def test_criterion_10_determinism(tmp_path):
         raise
     finally:
         _report(10, passed, "repeated runs produce byte-identical reports")
+
+
+def _partitions(n: int) -> int:
+    """p(n), with p(n) = 0 for n < 0."""
+    if n < 0:
+        return 0
+    counts = [1] + [0] * n
+    for part in range(1, n + 1):
+        for m in range(part, n + 1):
+            counts[m] += counts[m - part]
+    return counts[n]
+
+
+def _determinant(rows) -> Fraction:
+    """Determinant by Fraction elimination, independent of psd_check."""
+    a = [[Fraction(x.real_part()) for x in row] for row in rows]
+    n = len(a)
+    det = Fraction(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            factor = a[i][k] / a[k][k]
+            for j in range(k, n):
+                a[i][j] -= factor * a[k][j]
+    return det
+
+
+def _kac_determinant(level: int, t: Fraction, h: Fraction) -> Fraction:
+    """Kac (1979), Feigin-Fuchs: det of the level-N Virasoro Verma Gram
+    in the PBW basis, with c = 13 - 6(t + 1/t) and
+    h_{r,s} = (r^2-1)t/4 - (rs-1)/2 + (s^2-1)/(4t)."""
+    det = Fraction(1)
+    for r in range(1, level + 1):
+        for s in range(1, level // r + 1):
+            h_rs = (r * r - 1) * t / 4 - Fraction(r * s - 1, 2) + (s * s - 1) / (4 * t)
+            det *= (h - h_rs) ** _partitions(level - r * s)
+            constant = (2 * r) ** s * factorial(s)
+            det *= Fraction(constant) ** (_partitions(level - r * s) - _partitions(level - r * (s + 1)))
+    return det
+
+
+def test_criterion_11_kac_determinant():
+    passed = True
+    try:
+        vir = presentation_virasoro()
+        for t in (Fraction(2, 3), Fraction(7, 5)):
+            c = 13 - 6 * (t + 1 / t)
+            # a generic weight, a negative one, and the Kac zero h_{1,2}
+            for h in (Fraction(1, 3), Fraction(-5, 4), -Fraction(1, 2) + 3 / (4 * t)):
+                lw = LowestWeightData(c=c, h=h)
+                for level in range(1, 7):
+                    gram = abstract_gram(vir, lw, half(2 * level))
+                    assert gram.size == _partitions(level)
+                    assert _determinant(gram.entries) == _kac_determinant(level, t, h), (t, h, level)
+    except AssertionError:
+        passed = False
+        raise
+    finally:
+        _report(11, passed, "Virasoro Verma Gram determinants equal the Kac formula at levels 1-6")

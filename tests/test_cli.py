@@ -2,7 +2,11 @@ import json
 
 import pytest
 
+from supervir import verify
 from supervir.cli import main
+from supervir.fock import inner_product
+from supervir.scalars import GaussianRational
+from supervir.superalg import family_presentation
 
 
 def run(argv, capsys):
@@ -50,6 +54,40 @@ def test_malformed_rational_is_usage_error(capsys):
 def test_negative_cutoff_is_usage_error(capsys):
     code, _, err = run(["bounds", "--cutoff", "-1"], capsys)
     assert code == 2
+
+
+def test_failed_check_exits_1(monkeypatch, capsys):
+    """A wrong structure constant is a failed check, reported with exit 1."""
+    pres = family_presentation("ns")
+    bracket = pres.bracket
+
+    def perturbed(f1, n1, f2, n2, c):
+        terms, central = bracket(f1, n1, f2, n2, c)
+        if (f1, f2) == ("L", "L") and n1 + n2 == 0 and n1 > 0:
+            central = central + 1
+        return terms, central
+
+    # the tilde variant runs no abstract Gram, so the perturbed bracket
+    # reaches no memo of the presentation
+    monkeypatch.setattr(pres, "bracket", perturbed)
+    code, out, err = run(["check", "--family", "ns", "--variant", "tilde", "--kappa", "1/2",
+                          "--window", "1", "--cutoff", "1"], capsys)
+    assert code == 1
+    relations = [c for c in json.loads(out)["checks"] if c["check"] == "relations"]
+    assert relations[0]["status"] == "FAIL"
+    assert err == ""
+
+
+def test_internal_defect_exits_3(monkeypatch, capsys):
+    """A failed consistency check inside the library is exit 3 with one
+    line on stderr, told apart from a failed check (1) and bad input (2)."""
+    i = GaussianRational(0, 1)
+    monkeypatch.setattr(verify, "inner_product", lambda u, v: inner_product(u, v) + i)
+    code, out, err = run(["check", "--family", "ns", "--variant", "unitary", "--kappa", "1/2", "--eta", "1",
+                          "--window", "1", "--cutoff", "1"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == ["internal error: free-field Gram failed its Hermiticity check"]
 
 
 def test_tables_series(capsys):
@@ -130,7 +168,8 @@ def test_reports_deterministic_across_processes(tmp_path):
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("module,absent", [("supervir.verify", ("numpy", "scipy")), ("supervir.cli", ("scipy",))])
+@pytest.mark.parametrize("module,absent", [("supervir.verify", ("numpy", "scipy")), ("supervir.cli", ("scipy",)),
+                                           ("supervir.superalg", ("numpy", "scipy"))])
 def test_imports_stay_light(module, absent):
     """The exact engine needs neither numpy nor scipy; importing either
     would dominate the start-up time of a check (the CLI's bounds command

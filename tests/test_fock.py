@@ -134,3 +134,13 @@ def test_halfint_basics():
         half(3).as_int()
     with pytest.raises(TypeError):
         HalfInt(Fraction(1, 3))
+
+
+def test_halfint_hash_agrees_with_equality():
+    """An integer-valued HalfInt equals the int, so it must hash alike."""
+    values = [half(t) for t in range(-9, 10)]
+    for value in values:
+        if value.is_integer:
+            assert hash(value) == hash(value.as_int())
+    assert set(values) | set(range(-4, 5)) == set(values)
+    assert {half(-6): "x"}[-3] == "x"

@@ -237,5 +237,5 @@ def test_parity_declarations():
     assert bilinear_mode(BilinearSpec("J", 0, "Phi", 0), half(1)).parity == 1
     assert bilinear_mode(BilinearSpec("dPhi", 0, "Phi", 0), half(0)).parity == 0
     assert (F(1) * F(-1)).parity == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(AssertionError):
         F(1) + J(1)

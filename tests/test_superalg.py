@@ -7,6 +7,7 @@ from supervir.halfint import half, halfint_range
 from supervir.scalars import GaussianRational
 from supervir.superalg import (
     LowestWeightData,
+    _reduce,
     abstract_gram,
     discrete_series,
     pbw_words,
@@ -37,6 +38,56 @@ def test_vacuum_expectation_examples():
     lwh = LowestWeightData(c=Fraction(1), h=Fraction(5, 11))
     got = vacuum_expectation((("L", half(-2)),), (("L", half(-2)),), lwh, VIR)
     assert got == GaussianRational(Fraction(10, 11))  # 2h
+
+
+def _dense_expectation(left, right, lw, pres):
+    """Reference: the per-entry loop that applies every generator of the
+    adjoint left word to the whole reduced right vector."""
+
+    def apply(fam, n, vec):
+        out = {}
+        for word, coeff in vec.items():
+            for w2, c2 in _reduce(pres, lw, fam, n, word).items():
+                tot = out.get(w2, GaussianRational(0)) + coeff * c2
+                if tot.is_zero():
+                    out.pop(w2, None)
+                else:
+                    out[w2] = tot
+        return out
+
+    vec = {(): GaussianRational(1)}
+    for fam, n in reversed(right):
+        vec = apply(fam, n, vec)
+    for fam, n in left:
+        vec = apply(fam, -n, vec)
+    return vec.get((), GaussianRational(0))
+
+
+@pytest.mark.parametrize("lw", [LowestWeightData(c=Fraction(6), h=Fraction(5, 8), q=Fraction(1)),
+                                LowestWeightData(c=Fraction(-3), h=Fraction(1, 8), q=Fraction(-1, 8))])
+def test_vacuum_expectation_matches_per_entry_reference(lw):
+    """The left-word recursion against the per-entry loop, entry by entry,
+    on N=2 Verma Grams with nonzero charge up to level 3."""
+    for twice in range(0, 7):
+        gram = abstract_gram(N2, lw, half(twice))
+        for wi, row in zip(gram.words, gram.entries):
+            for wj, entry in zip(gram.words, row):
+                assert entry == _dense_expectation(wi, wj, lw, N2), (twice, wi, wj)
+
+
+def test_memos_hold_one_point():
+    a = LowestWeightData(c=Fraction(7, 3), h=Fraction(1, 5))
+    b = LowestWeightData(c=Fraction(7, 3), h=Fraction(2, 5))
+    abstract_gram(VIR, a, half(6))
+    tables = len(VIR._reduce_cache), len(VIR._expect_cache)
+    assert all(tables)
+    abstract_gram(VIR, LowestWeightData(c=Fraction(7, 3), h=Fraction(1, 5)), half(6))  # equal point: kept
+    assert (len(VIR._reduce_cache), len(VIR._expect_cache)) == tables
+    abstract_gram(VIR, b, half(2))  # a new point replaces the old tables
+    assert len(VIR._reduce_cache) < tables[0] and len(VIR._expect_cache) < tables[1]
+    words = pbw_words(VIR, half(6), drop_vacuum_annihilators=False)
+    expected = [[_dense_expectation(wi, wj, a, VIR) for wj in words] for wi in words]
+    assert abstract_gram(VIR, a, half(6)).entries == expected
 
 
 def test_vacuum_flag_constraints():
@@ -286,6 +337,153 @@ def test_psd_zero_matrix_and_empty():
     r = psd_check([[G(0), G(0)], [G(0), G(0)]])
     assert r.psd and r.pivots == [Fraction(0), Fraction(0)]
     assert psd_check([]).psd
+
+
+def _dense_psd(entries):
+    """Reference: pivoted Hermitian elimination over Fraction, with the
+    same pivot rule, pivots and witness construction as psd_check."""
+    n = len(entries)
+    a = [[GaussianRational.coerce(entries[i][j]) for j in range(n)] for i in range(n)]
+    active = list(range(n))
+    pivots = []
+    history = []
+
+    def backtransform(seed):
+        v = dict(seed)
+        for p, mults in reversed(history):
+            acc = v.get(p, GaussianRational(0))
+            for i, mult in mults.items():
+                if i in v:
+                    acc = acc - mult.conjugate() * v[i]
+            if acc.is_zero():
+                v.pop(p, None)
+            else:
+                v[p] = acc
+        return [v.get(i, GaussianRational(0)) for i in range(n)]
+
+    while active:
+        diag = [(a[i][i].real_part(), i) for i in active]
+        best_val = max(d for d, _ in diag)
+        best_idx = min(i for d, i in diag if d == best_val)
+        if best_val > 0:
+            p = best_idx
+            d = a[p][p].real_part()
+            pivots.append(d)
+            active.remove(p)
+            mults = {i: a[i][p] / GaussianRational(d) for i in active if not a[i][p].is_zero()}
+            for i in active:
+                mi = mults.get(i)
+                if mi is not None:
+                    for j in active:
+                        a[i][j] = a[i][j] - mi * a[p][j]
+            for i in active:
+                a[i][p] = GaussianRational(0)
+            history.append((p, mults))
+            continue
+        negative = [i for d, i in diag if d < 0]
+        if negative:
+            i = min(negative)
+            pivots.append(a[i][i].real_part())
+            return False, pivots, backtransform({i: GaussianRational(1)})
+        offdiag = [(i, j) for ii, i in enumerate(active) for j in active[ii + 1 :] if not a[i][j].is_zero()]
+        if offdiag:
+            r, s = offdiag[0]
+            return False, pivots, backtransform({r: -a[r][s], s: GaussianRational(1)})
+        return True, pivots + [Fraction(0)] * len(active), None
+    return True, pivots, None
+
+
+def _dense_witness_value(witness, entries):
+    n = len(witness)
+    total = GaussianRational(0)
+    for i in range(n):
+        for j in range(n):
+            total = total + witness[i].conjugate() * entries[i][j] * witness[j]
+    return total.real_part()
+
+
+def _random_hermitian(rng, kind, n):
+    def q():
+        return Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 5, 7)))
+
+    m = [[GaussianRational(0)] * n for _ in range(n)]
+    if kind == "rank-deficient":
+        # a sum of fewer than n rank-one terms v v^H: PSD and singular
+        for _ in range(rng.randint(0, n - 1)):
+            v = [GaussianRational(q(), q()) if rng.random() < 0.7 else GaussianRational(0) for _ in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    m[i][j] = m[i][j] + v[i] * v[j].conjugate()
+        return m
+    for i in range(n):
+        m[i][i] = GaussianRational(q() if rng.random() < 0.8 else 0)
+        for j in range(i + 1, n):
+            if rng.random() < 0.6:
+                z = GaussianRational(q(), q() if kind == "complex" else 0)
+                m[i][j], m[j][i] = z, z.conjugate()
+    return m
+
+
+def test_psd_matches_dense_reference_on_random_matrices():
+    """Fraction-free Z[i] elimination against the Fraction reference on
+    300 seeded Hermitian matrices: verdict, pivots, witness and value."""
+    rng = random.Random(20261018)
+    outcomes = set()
+    for kind in ("complex", "indefinite", "rank-deficient"):
+        for _ in range(100):
+            m = _random_hermitian(rng, kind, rng.randint(1, 7))
+            psd, pivots, witness = _dense_psd(m)
+            got = psd_check(m)
+            assert (got.psd, got.pivots, got.witness) == (psd, pivots, witness), m
+            if psd:
+                outcomes.add("psd, singular" if Fraction(0) in pivots else "psd")
+            else:
+                value = got.witness_value(m)
+                assert value == _dense_witness_value(witness, m) and value < 0, m
+                outcomes.add("negative pivot" if pivots and pivots[-1] < 0 else "off-diagonal")
+    assert outcomes == {"psd", "psd, singular", "negative pivot", "off-diagonal"}
+
+
+def test_psd_matches_dense_reference_on_grams():
+    lw = LowestWeightData(c=Fraction(-3), h=Fraction(1, 8), q=Fraction(-1, 8))
+    for pres, point, top in ((N2, lw, 6), (NS, LowestWeightData(c=Fraction(-6), h=Fraction(3, 8)), 8)):
+        for twice in range(0, top + 1):
+            gram = abstract_gram(pres, point, half(twice))
+            got = psd_check(gram)
+            assert (got.psd, got.pivots, got.witness) == _dense_psd(gram.entries), twice
+
+
+# ---------------------------------------------------------------------------
+# unitarity boundaries, with verdicts from closed forms
+# ---------------------------------------------------------------------------
+
+
+def test_virasoro_ising_point_fails_at_level_2():
+    """c = 1/2, h = 1/4 lies off the unitary list (h in {0, 1/16, 1/2}).
+    The level-2 determinant 32h(h^2 + (c-5)h/8 + c/16) is -3/8 there,
+    while levels 0 and 1 have the positive Grams 1 and 2h."""
+    c, h = Fraction(1, 2), Fraction(1, 4)
+    assert 32 * h * (h * h + (c - 5) * h / 8 + c / 16) == Fraction(-3, 8)
+    lw = LowestWeightData(c=c, h=h)
+    assert psd_check(abstract_gram(VIR, lw, half(0))).psd
+    assert psd_check(abstract_gram(VIR, lw, half(2))).psd
+    gram = abstract_gram(VIR, lw, half(4))
+    result = psd_check(gram)
+    assert not result.psd
+    assert result.witness_value(gram.entries) < 0
+    product = Fraction(1)
+    for pivot in result.pivots:
+        product *= pivot
+    assert product == Fraction(-3, 8)
+
+
+def test_n2_vacuum_at_negative_charge_fails_at_level_1():
+    """At c = -3 the only level-1 vacuum word is J_{-1}, of norm c/3 = -1."""
+    gram = abstract_gram(N2, LowestWeightData(c=Fraction(-3), h=Fraction(0), q=Fraction(0), vacuum_flag=True), half(2))
+    assert gram.entries == [[GaussianRational(-1)]]
+    result = psd_check(gram)
+    assert not result.psd and result.pivots == [Fraction(-1)]
+    assert result.witness_value(gram.entries) == -1
 
 
 def test_discrete_series():
