@@ -35,7 +35,6 @@ from .walgebra import (
     unitary_range,
 )
 from .ratfunc import RationalFunction
-from . import bounds as bounds_mod
 from . import verify
 
 
@@ -254,6 +253,8 @@ def cmd_tables(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from . import bounds as bounds_mod  # numpy: loaded only by this command
+
     cutoff = _parse_halfint(args.cutoff)
     if cutoff < 0:
         raise UsageError("--cutoff must be nonnegative")

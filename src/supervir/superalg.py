@@ -2,9 +2,10 @@
 
 A Presentation stores generator families with their mode lattices and
 parities plus the structural bracket.  Everything downstream is exact:
-vacuum expectations reduce words with the relations and the adjoint rule
-A_n^dagger = A_{-n}; Gram matrices are tested for positive
-semidefiniteness by pivoted fraction-free elimination over Z[i].
+vacuum expectations reduce interned words with the relations and the
+adjoint rule A_n^dagger = A_{-n} in Python ints; Gram matrices are
+tested for positive semidefiniteness by pivoted fraction-free
+elimination over Z[i].
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ _I = GaussianRational(0, 1)
 # canonically ordered (family blocks in order, labels weakly/strictly
 # decreasing within even/odd blocks)
 Word = tuple[tuple[str, HalfInt], ...]
-
-BracketTerms = tuple[tuple[str, HalfInt, GaussianRational], ...]
 
 
 @dataclass(frozen=True)
@@ -56,9 +55,18 @@ class Presentation:
     is a tuple of (family, index, coefficient) and central multiplies
     the identity.
 
-    The reduction and expectation memos hold the tables of one
-    LowestWeightData at a time: reducing at a new point drops the old
-    point's tables, so a parameter sweep keeps one point in memory.
+    The reduction works on interned words: each generator (family, twice
+    its index) gets a small int id the first time it is met, with its
+    family name, parity, family rank, twice-index and the id of its
+    adjoint A_{-n} kept in arrays, so a word is a tuple of ints.
+
+    The memos hold the tables of one binding at a time, a binding being
+    the LowestWeightData together with the bracket the reduction calls
+    (`self.bracket`, compared with ==): a call at another point or with
+    another bracket drops the old tables, so a parameter sweep keeps one
+    point in memory.  Every memoized coefficient is a Gaussian integer
+    (re, im) over an implicit power of the binding's denominator D (see
+    _bind and _reduce).
     """
 
     def __init__(self, name: str, families: tuple[GeneratorFamily, ...], bracket_fn):
@@ -68,17 +76,56 @@ class Presentation:
         self._parity = {fam.name: fam.parity for fam in families}
         self._integer = {fam.name: fam.integer_moded for fam in families}
         self._bracket_fn = bracket_fn
+        # interned generators: (family, twice) -> id, and per-id arrays
+        self._ids: dict[tuple[str, int], int] = {}
+        self._gen_family: list[str] = []
+        self._gen_parity: list[int] = []
+        self._gen_rank: list[int] = []
+        self._gen_twice: list[int] = []
+        self._gen_adjoint: list[int] = []
         self._memo_lw: Optional[LowestWeightData] = None
-        self._reduce_cache: dict = {}  # (family, index, word) -> reduced vector
-        self._expect_cache: dict = {}  # (left word, reduced word) -> <left.vac, word.vac>
+        self._memo_bracket = None
+        self._denominator = 1  # D of the bound point
+        self._bracket_cache: dict = {}  # (generator, head) -> scaled bracket of the pair
+        self._reduce_cache: dict = {}  # (generator, word) -> {word': (re, im)}
+        self._right_cache: dict = {}  # word -> {word': (re, im)}, the word on the cyclic vector
+        self._expect_cache: dict = {}  # (left word, reduced word) -> (re, im) of <left.vac, word.vac>
 
     def _bind(self, lw: LowestWeightData) -> None:
-        """Make the memos those of `lw`, dropping another point's tables."""
-        if lw is not self._memo_lw:
-            if lw != self._memo_lw:
-                self._reduce_cache.clear()
-                self._expect_cache.clear()
-            self._memo_lw = lw
+        """Make the memos those of `lw` and the current bracket.
+
+        On a new binding the old tables are dropped and D becomes
+        lcm(4, 12 den c, den h, den q): for the three built-in brackets,
+        D times a bracket coefficient (halved for an odd square), D^2
+        times a central term, and D times h or q are Gaussian integers.
+        """
+        bracket = self.bracket
+        if (lw is self._memo_lw or lw == self._memo_lw) and bracket == self._memo_bracket:
+            return
+        for memo in (self._bracket_cache, self._reduce_cache, self._right_cache, self._expect_cache):
+            memo.clear()
+        self._memo_lw, self._memo_bracket = lw, bracket
+        self._denominator = lcm(4, 12 * lw.c.denominator, lw.h.denominator, (lw.q or 0).denominator)
+
+    def _gen(self, family: str, twice: int) -> int:
+        """The id of generator (family, twice/2), interned with its adjoint."""
+        gid = self._ids.get((family, twice))
+        if gid is None:
+            gid = self._ids[(family, twice)] = len(self._gen_family)
+            self._gen_family.append(family)
+            self._gen_parity.append(self._parity[family])
+            self._gen_rank.append(self._rank[family])
+            self._gen_twice.append(twice)
+            self._gen_adjoint.append(gid)
+            self._gen_adjoint[gid] = self._gen(family, -twice)
+        return gid
+
+    def _word_ids(self, word: Word) -> tuple[int, ...]:
+        ids = self._ids
+        try:
+            return tuple([ids[fam, n.twice] for fam, n in word])
+        except KeyError:
+            return tuple([self._gen(fam, n.twice) for fam, n in word])
 
     def parity(self, family: str) -> int:
         return self._parity[family]
@@ -208,136 +255,178 @@ def family_presentation(family: str) -> Presentation:
 # ---------------------------------------------------------------------------
 
 
-def _annihilates_vacuum(pres: Presentation, lw: LowestWeightData, fam: str, n: HalfInt) -> bool:
-    if n > 0:
-        return True
-    if not lw.vacuum_flag:
-        return False
-    if fam == "L" and n == -1:
-        return True
-    if pres.parity(fam) == 1 and n.twice == -1:
-        return True
-    return False
+def _as_gaussian_integer(value) -> tuple[int, int]:
+    """(re, im) of a value scaled by the bound denominator.
+
+    A value that does not scale to a Gaussian integer means D does not
+    clear the bracket's denominators; storing a rounded value would be
+    silently wrong, so it is an internal defect.
+    """
+    value = GaussianRational.coerce(value)
+    if value.re.denominator != 1 or value.im.denominator != 1:
+        raise AssertionError(f"bracket value {value} is not integral over the bound denominator")
+    return value.re.numerator, value.im.numerator
 
 
-def _ok_before(pres: Presentation, g: tuple[str, HalfInt], head: tuple[str, HalfInt]) -> bool:
+def _on_vacuum(pres: Presentation, g: int) -> dict:
+    """Generator g applied to the cyclic vector, over D^(1 - len(word'))."""
+    lw, fam, twice = pres._memo_lw, pres._gen_family[g], pres._gen_twice[g]
+    if twice > 0:
+        return {}
+    if lw.vacuum_flag and ((fam == "L" and twice == -2) or (pres._gen_parity[g] and twice == -1)):
+        return {}
+    if twice < 0:
+        return {(g,): (1, 0)}
+    if fam == "L":
+        value = lw.h
+    elif fam == "J":
+        value = lw.q or 0
+    else:
+        raise ValueError(f"odd family {fam} has no zero mode")
+    if not value:
+        return {}
+    return {(): _as_gaussian_integer(Fraction(value) * pres._denominator)}
+
+
+def _bracket(pres: Presentation, g: int, head: int) -> tuple:
+    """(sign, terms, central) for moving g past head, scaled for the binding.
+
+    g.head = sign head.g + [g, head]; for an odd square g = head the
+    swap term is absent (sign 0) and the bracket is halved,
+    A_n A_n = (1/2){A_n, A_n}.  terms holds (id, re, im) over D and
+    central is (re, im) over D^2, or None.
+    """
+    key = (g, head)
+    cached = pres._bracket_cache.get(key)
+    if cached is not None:
+        return cached
+    parity = pres._gen_parity
+    if g == head and parity[g]:
+        sign, factor = 0, Fraction(pres._denominator, 2)
+    else:
+        sign, factor = (-1 if parity[g] and parity[head] else 1), Fraction(pres._denominator)
+    terms, central = pres._memo_bracket(
+        pres._gen_family[g], half(pres._gen_twice[g]),
+        pres._gen_family[head], half(pres._gen_twice[head]), pres._memo_lw.c,
+    )
+    scaled = tuple(
+        (pres._gen(fam, n.twice), *_as_gaussian_integer(cf * factor)) for fam, n, cf in terms if cf
+    )
+    central_scaled = _as_gaussian_integer(central * (factor * pres._denominator)) if central else None
+    cached = pres._bracket_cache[key] = (sign, scaled, central_scaled)
+    return cached
+
+
+def _ok_before(pres: Presentation, g: int, head: int) -> bool:
     """Whether generator g may sit immediately left of head in a PBW word."""
-    (f1, n1), (f2, n2) = g, head
-    r1, r2 = pres.rank(f1), pres.rank(f2)
+    r1, r2 = pres._gen_rank[g], pres._gen_rank[head]
     if r1 != r2:
         return r1 < r2
-    if pres.parity(f1) == 1:
-        return n1 < n2  # strictly decreasing labels
-    return n1 <= n2
+    if pres._gen_parity[g]:
+        return pres._gen_twice[g] < pres._gen_twice[head]  # strictly decreasing labels
+    return pres._gen_twice[g] <= pres._gen_twice[head]
 
 
-def _add_into(out: dict[Word, GaussianRational], vec: dict[Word, GaussianRational], factor) -> None:
-    """out += factor * vec, dropping the words whose coefficient cancels."""
-    for word, coeff in vec.items():
-        total = coeff * factor
-        old = out.get(word)
-        if old is not None:
-            total = old + total
-        if total:
-            out[word] = total
-        else:
-            out.pop(word, None)
+def _accumulate(acc: dict, vec: dict, x: int, y: int) -> None:
+    """acc += (x + iy) vec on Gaussian-integer pairs."""
+    for word, (a, b) in vec.items():
+        re, im = x * a - y * b, x * b + y * a
+        old = acc.get(word)
+        acc[word] = (re, im) if old is None else (old[0] + re, old[1] + im)
 
 
-def _apply_generator(
-    pres: Presentation, lw: LowestWeightData, fam: str, n: HalfInt, vec: dict[Word, GaussianRational]
-) -> dict[Word, GaussianRational]:
-    out: dict[Word, GaussianRational] = {}
-    for word, coeff in vec.items():
-        _add_into(out, _reduce(pres, lw, fam, n, word), coeff)
-    return out
+def _nonzero(acc: dict) -> dict:
+    return {word: v for word, v in acc.items() if v[0] or v[1]}
 
 
-def _reduce(
-    pres: Presentation, lw: LowestWeightData, fam: str, n: HalfInt, word: Word
-) -> dict[Word, GaussianRational]:
-    """Normal-order (fam, n) applied to a PBW word acting on the vacuum."""
-    if lw is not pres._memo_lw:
-        pres._bind(lw)
-    key = (fam, n, word)
+def _reduce(pres: Presentation, g: int, word: tuple[int, ...]) -> dict:
+    """Normal-order generator g applied to a PBW word on the cyclic vector.
+
+    Returns {word': (re, im)} meaning sum (re + i im) / D^e word' with
+    e = len(word) + 1 - len(word'): every generator a bracket or a
+    zero mode consumes brings one factor 1/D, so the products of the
+    recursion below stay Gaussian integers.
+    """
+    key = (g, word)
     cached = pres._reduce_cache.get(key)
     if cached is not None:
         return cached
-    result: dict[Word, GaussianRational]
     if not word:
-        if _annihilates_vacuum(pres, lw, fam, n):
-            result = {}
-        elif n == 0:
-            if fam == "L":
-                result = {(): GaussianRational(lw.h)} if lw.h else {}
-            elif fam == "J":
-                q = lw.q or Fraction(0)
-                result = {(): GaussianRational(q)} if q else {}
-            else:
-                raise ValueError(f"odd family {fam} has no zero mode")
-        else:
-            result = {((fam, n),): ONE}
-    elif n < 0 and _ok_before(pres, (fam, n), word[0]):
-        result = {((fam, n),) + word: ONE}
+        result = _on_vacuum(pres, g)
     else:
-        (hf, hn), rest = word[0], word[1:]
-        result = {}
-        if pres.parity(fam) == 1 and (fam, n) == (hf, hn):
-            # odd square: A_n A_n = (1/2){A_n, A_n}
-            factor = Fraction(1, 2)
+        head = word[0]
+        if pres._gen_twice[g] < 0 and _ok_before(pres, g, head):
+            result = {(g,) + word: (1, 0)}
         else:
-            # move g past the head:  g . head = sign * head . g + [g, head]
-            sign = -1 if (pres.parity(fam) and pres.parity(hf)) else 1
-            _add_into(result, _apply_generator(pres, lw, hf, hn, _reduce(pres, lw, fam, n, rest)), sign)
-            factor = 1
-        terms, central = pres.bracket(fam, n, hf, hn, lw.c)
-        for f2, n2, cf in terms:
-            _add_into(result, _reduce(pres, lw, f2, n2, rest), cf * factor)
-        if central:
-            _add_into(result, {rest: central}, factor)
+            rest = word[1:]
+            sign, terms, central = _bracket(pres, g, head)
+            acc: dict = {}
+            if sign:
+                # g.head.rest = sign head.(g.rest) + [g, head].rest
+                for w1, (a, b) in _reduce(pres, g, rest).items():
+                    _accumulate(acc, _reduce(pres, head, w1), sign * a, sign * b)
+            for f, x, y in terms:
+                _accumulate(acc, _reduce(pres, f, rest), x, y)
+            if central is not None:
+                _accumulate(acc, {rest: central}, 1, 0)
+            result = _nonzero(acc)
     pres._reduce_cache[key] = result
     return result
 
 
-def word_weight(word: Word) -> HalfInt:
-    return half(sum(-(idx.twice) for _, idx in word))
+def _right_vector(pres: Presentation, word: tuple[int, ...]) -> dict:
+    """word.vac reduced, {word': (re, im)} over D^(len(word) - len(word'))."""
+    if not word:
+        return {(): (1, 0)}
+    cached = pres._right_cache.get(word)
+    if cached is None:
+        acc: dict = {}
+        for w1, (a, b) in _right_vector(pres, word[1:]).items():
+            _accumulate(acc, _reduce(pres, word[0], w1), a, b)
+        cached = pres._right_cache[word] = _nonzero(acc)
+    return cached
 
 
 def vacuum_expectation(left: Word, right: Word, lw: LowestWeightData, pres: Presentation) -> GaussianRational:
     """<left.vac, right.vac> from the relations and A_n^dagger = A_{-n}."""
     pres._bind(lw)
-    vec: dict[Word, GaussianRational] = {(): ONE}
-    for fam, n in reversed(right):
-        vec = _apply_generator(pres, lw, fam, n, vec)
-    total = ZERO
-    for word, coeff in vec.items():
-        value = _expectation(pres, lw, left, word)
-        if value:
-            total = total + coeff * value
-    return total
+    left_ids = pres._word_ids(left)
+    re = im = 0
+    for word, (a, b) in _right_vector(pres, pres._word_ids(right)).items():
+        x, y = _expectation(pres, left_ids, word)
+        re += a * x - b * y
+        im += a * y + b * x
+    denominator = pres._denominator ** (len(left) + len(right))
+    return GaussianRational(Fraction(re, denominator) if re else 0, Fraction(im, denominator) if im else 0)
 
 
-def _expectation(pres: Presentation, lw: LowestWeightData, left: Word, word: Word) -> GaussianRational:
+def _expectation(pres: Presentation, left: tuple[int, ...], word: tuple[int, ...]) -> tuple[int, int]:
     """<left.vac, word.vac> for a reduced word, by recursion on the left word.
 
     With g the leftmost generator of left = g.u,  <g.u, w> = <u, g^dagger w>
     and g^dagger w = sum c_w' w' is one reduction, so the value is
-    sum c_w' <u, w'>: pairs one level down, memoized per point.
+    sum c_w' <u, w'>: pairs one level down, memoized per binding.  The
+    value is (re, im) over D^(len(left) + len(word)).  The caller's own
+    pair is not stored: a Gram entry's pair is not looked up again.
     """
     if not left:
-        return ZERO if word else ONE
-    key = (left, word)
-    cached = pres._expect_cache.get(key)
-    if cached is not None:
-        return cached
-    (fam, n), rest = left[0], left[1:]
-    total = ZERO
-    for w2, c2 in _reduce(pres, lw, fam, -n, word).items():
-        value = _expectation(pres, lw, rest, w2)
-        if value:
-            total = total + c2 * value
-    pres._expect_cache[key] = total
-    return total
+        return (0, 0) if word else (1, 0)
+    reduced = _reduce(pres, pres._gen_adjoint[left[0]], word)
+    rest = left[1:]
+    if not rest:
+        return reduced.get((), (0, 0))
+    memo = pres._expect_cache
+    re = im = 0
+    for w2, (a, b) in reduced.items():
+        key = (rest, w2)
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = _expectation(pres, rest, w2)
+        x, y = value
+        if x or y:
+            re += a * x - b * y
+            im += a * y + b * x
+    return re, im
 
 
 # ---------------------------------------------------------------------------
@@ -474,14 +563,14 @@ def psd_check(gram: GramMatrix | list[list[GaussianRational]]) -> PsdResult:
     entries = gram.entries if isinstance(gram, GramMatrix) else gram
     n = len(entries)
     a = [[GaussianRational.coerce(entries[i][j]) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if a[i][j] != a[j][i].conjugate():
-                raise ValueError(f"matrix is not Hermitian at ({i},{j})")
-
     scale = lcm(*(x.denominator for row in a for z in row for x in (z.re, z.im)))
     re = [[z.re.numerator * (scale // z.re.denominator) for z in row] for row in a]
     im = [[z.im.numerator * (scale // z.im.denominator) for z in row] for row in a]
+    for i in range(n):
+        re_i, im_i = re[i], im[i]
+        for j in range(n):
+            if re_i[j] != re[j][i] or im_i[j] != -im[j][i]:
+                raise ValueError(f"matrix is not Hermitian at ({i},{j})")
     minor = 1  # the pivot minor M of the steps taken so far
     active = list(range(n))
     pivots: list[Fraction] = []

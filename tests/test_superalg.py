@@ -7,7 +7,6 @@ from supervir.halfint import half, halfint_range
 from supervir.scalars import GaussianRational
 from supervir.superalg import (
     LowestWeightData,
-    _reduce,
     abstract_gram,
     discrete_series,
     pbw_words,
@@ -40,39 +39,129 @@ def test_vacuum_expectation_examples():
     assert got == GaussianRational(Fraction(10, 11))  # 2h
 
 
-def _dense_expectation(left, right, lw, pres):
+# ---------------------------------------------------------------------------
+# reference: the Gaussian-rational reduction the integer engine replaced
+# ---------------------------------------------------------------------------
+
+
+def _annihilates_vacuum(pres, lw, fam, n):
+    if n > 0:
+        return True
+    if not lw.vacuum_flag:
+        return False
+    return (fam == "L" and n == -1) or (pres.parity(fam) == 1 and n.twice == -1)
+
+
+def _ok_before(pres, g, head):
+    """Whether generator g may sit immediately left of head in a PBW word."""
+    (f1, n1), (f2, n2) = g, head
+    r1, r2 = pres.rank(f1), pres.rank(f2)
+    if r1 != r2:
+        return r1 < r2
+    if pres.parity(f1) == 1:
+        return n1 < n2  # strictly decreasing labels
+    return n1 <= n2
+
+
+def _add_into(out, vec, factor):
+    """out += factor * vec, dropping the words whose coefficient cancels."""
+    for word, coeff in vec.items():
+        total = coeff * factor
+        old = out.get(word)
+        if old is not None:
+            total = old + total
+        if total:
+            out[word] = total
+        else:
+            out.pop(word, None)
+
+
+def _reference_apply(pres, lw, fam, n, vec, memo):
+    out = {}
+    for word, coeff in vec.items():
+        _add_into(out, _reference_reduce(pres, lw, fam, n, word, memo), coeff)
+    return out
+
+
+def _reference_reduce(pres, lw, fam, n, word, memo):
+    """Normal-order (fam, n) applied to a PBW word on the cyclic vector, in
+    GaussianRational arithmetic on (family, HalfInt) words; `memo` holds
+    the reductions of one (presentation, point)."""
+    key = (fam, n, word)
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    if not word:
+        if _annihilates_vacuum(pres, lw, fam, n):
+            result = {}
+        elif n == 0:
+            if fam == "L":
+                result = {(): GaussianRational(lw.h)} if lw.h else {}
+            elif fam == "J":
+                q = lw.q or Fraction(0)
+                result = {(): GaussianRational(q)} if q else {}
+            else:
+                raise ValueError(f"odd family {fam} has no zero mode")
+        else:
+            result = {((fam, n),): GaussianRational(1)}
+    elif n < 0 and _ok_before(pres, (fam, n), word[0]):
+        result = {((fam, n),) + word: GaussianRational(1)}
+    else:
+        (hf, hn), rest = word[0], word[1:]
+        result = {}
+        if pres.parity(fam) == 1 and (fam, n) == (hf, hn):
+            # odd square: A_n A_n = (1/2){A_n, A_n}
+            factor = Fraction(1, 2)
+        else:
+            # move g past the head:  g . head = sign * head . g + [g, head]
+            sign = -1 if (pres.parity(fam) and pres.parity(hf)) else 1
+            inner = _reference_reduce(pres, lw, fam, n, rest, memo)
+            _add_into(result, _reference_apply(pres, lw, hf, hn, inner, memo), sign)
+            factor = 1
+        terms, central = pres.bracket(fam, n, hf, hn, lw.c)
+        for f2, n2, cf in terms:
+            _add_into(result, _reference_reduce(pres, lw, f2, n2, rest, memo), cf * factor)
+        if central:
+            _add_into(result, {rest: central}, factor)
+    memo[key] = result
+    return result
+
+
+def _dense_expectation(left, right, lw, pres, memo=None):
     """Reference: the per-entry loop that applies every generator of the
-    adjoint left word to the whole reduced right vector."""
-
-    def apply(fam, n, vec):
-        out = {}
-        for word, coeff in vec.items():
-            for w2, c2 in _reduce(pres, lw, fam, n, word).items():
-                tot = out.get(w2, GaussianRational(0)) + coeff * c2
-                if tot.is_zero():
-                    out.pop(w2, None)
-                else:
-                    out[w2] = tot
-        return out
-
+    adjoint left word to the whole reduced right vector, on the reference
+    reduction; pass one `memo` dict to share reductions at one point."""
+    memo = {} if memo is None else memo
     vec = {(): GaussianRational(1)}
     for fam, n in reversed(right):
-        vec = apply(fam, n, vec)
+        vec = _reference_apply(pres, lw, fam, n, vec, memo)
     for fam, n in left:
-        vec = apply(fam, -n, vec)
+        vec = _reference_apply(pres, lw, fam, -n, vec, memo)
     return vec.get((), GaussianRational(0))
 
 
-@pytest.mark.parametrize("lw", [LowestWeightData(c=Fraction(6), h=Fraction(5, 8), q=Fraction(1)),
-                                LowestWeightData(c=Fraction(-3), h=Fraction(1, 8), q=Fraction(-1, 8))])
-def test_vacuum_expectation_matches_per_entry_reference(lw):
-    """The left-word recursion against the per-entry loop, entry by entry,
-    on N=2 Verma Grams with nonzero charge up to level 3."""
-    for twice in range(0, 7):
-        gram = abstract_gram(N2, lw, half(twice))
+@pytest.mark.parametrize("pres,top_twice,lw", [
+    (N2, 6, LowestWeightData(c=Fraction(6), h=Fraction(5, 8), q=Fraction(1))),
+    (N2, 6, LowestWeightData(c=Fraction(-3), h=Fraction(1, 8), q=Fraction(-1, 8))),
+    (N2, 6, LowestWeightData(c=Fraction(7, 3), h=Fraction(1, 5), q=Fraction(-1, 7))),
+    (N2, 6, LowestWeightData(c=Fraction(7, 3), h=Fraction(0), q=Fraction(0), vacuum_flag=True)),
+    (NS, 8, LowestWeightData(c=Fraction(7, 3), h=Fraction(1, 5))),
+    (NS, 8, LowestWeightData(c=Fraction(7, 3), vacuum_flag=True)),
+    (VIR, 12, LowestWeightData(c=Fraction(7, 3), h=Fraction(1, 5))),
+    (VIR, 12, LowestWeightData(c=Fraction(7, 3), vacuum_flag=True)),
+], ids=["lw0", "lw1", "n2-verma-7/3", "n2-vacuum-7/3", "ns-verma-7/3", "ns-vacuum-7/3", "vir-verma-7/3",
+        "vir-vacuum-7/3"])
+def test_vacuum_expectation_matches_per_entry_reference(pres, top_twice, lw):
+    """The integer left-word recursion against the Gaussian-rational
+    per-entry loop, entry by entry, on every Gram up to level top_twice/2:
+    Verma and vacuum points with nonzero charge and with denominators
+    (c = 7/3, h = 1/5, q = -1/7) that the bound denominator must clear."""
+    memo = {}
+    for twice in range(0, top_twice + 1):
+        gram = abstract_gram(pres, lw, half(twice))
         for wi, row in zip(gram.words, gram.entries):
             for wj, entry in zip(gram.words, row):
-                assert entry == _dense_expectation(wi, wj, lw, N2), (twice, wi, wj)
+                assert entry == _dense_expectation(wi, wj, lw, pres, memo), (twice, wi, wj)
 
 
 def test_memos_hold_one_point():
@@ -88,6 +177,41 @@ def test_memos_hold_one_point():
     words = pbw_words(VIR, half(6), drop_vacuum_annihilators=False)
     expected = [[_dense_expectation(wi, wj, a, VIR) for wj in words] for wi in words]
     assert abstract_gram(VIR, a, half(6)).entries == expected
+
+
+def _scaled_bracket(pres, factor):
+    """pres.bracket with every term coefficient times `factor`."""
+    original = pres.bracket
+
+    def scaled(f1, n1, f2, n2, c):
+        terms, central = original(f1, n1, f2, n2, c)
+        return tuple((fam, idx, cf * factor) for fam, idx, cf in terms), central
+
+    return scaled
+
+
+def test_memos_follow_the_bracket(monkeypatch):
+    """The memos are bound to the bracket as well as the point: a Gram
+    built with a patched bracket must not leak into a Gram built at an
+    equal point after the bracket is restored."""
+    with monkeypatch.context() as patch:
+        patch.setattr(VIR, "bracket", _scaled_bracket(VIR, 2))
+        gram = abstract_gram(VIR, LowestWeightData(c=Fraction(1), h=Fraction(1, 3)), half(4))
+        assert gram.entries == [[G(Fraction(128, 9)), G(8)], [G(8), G(Fraction(19, 6))]]
+    gram = abstract_gram(VIR, LowestWeightData(c=Fraction(1), h=Fraction(1, 3)), half(4))
+    assert gram.entries == [[G(Fraction(20, 9)), G(2)], [G(2), G(Fraction(11, 6))]]
+
+
+def test_non_integral_bracket_value_is_an_internal_defect(monkeypatch):
+    """A bracket coefficient 1/11 does not scale to a Gaussian integer over
+    D = lcm(4, 12, 3) = 12, so the reduction raises instead of storing a
+    rounded value."""
+    monkeypatch.setattr(VIR, "bracket", _scaled_bracket(VIR, Fraction(1, 11)))
+    lw = LowestWeightData(c=Fraction(1), h=Fraction(1, 3))
+    with pytest.raises(AssertionError, match="not integral"):
+        vacuum_expectation((("L", half(-2)),), (("L", half(-2)),), lw, VIR)
+    with pytest.raises(AssertionError, match="not integral"):
+        abstract_gram(VIR, lw, half(4))
 
 
 def test_vacuum_flag_constraints():
@@ -212,9 +336,18 @@ def test_jacobi_identity(pres, c):
         for n in halfint_range(half(-6), half(6), integer=fam.integer_moded):
             gens.append((fam.name, n))
 
+    brackets = {}  # each pair's bracket, fetched once
+
+    def bracket(f1, n1, f2, n2):
+        key = (f1, n1.twice, f2, n2.twice)
+        got = brackets.get(key)
+        if got is None:
+            got = brackets[key] = _as_terms(pres, f1, n1, f2, n2, c)
+        return got
+
     def bracket_with_term(f1, n1, target, coeff):
         (f2, n2) = target
-        got, central = _as_terms(pres, f1, n1, f2, n2, c)
+        got, central = bracket(f1, n1, f2, n2)
         return {k: coeff * v for k, v in got.items()}, coeff * central
 
     for (f1, n1) in gens:
@@ -223,7 +356,7 @@ def test_jacobi_identity(pres, c):
                 # [a,[b,c]] = [[a,b],c] + (-1)^{p(a)p(b)} [b,[a,c]]
                 lhs: dict = {}
                 lhs_central = GaussianRational(0)
-                inner, inner_c = _as_terms(pres, f2, n2, f3, n3, c)
+                inner, inner_c = bracket(f2, n2, f3, n3)
                 for tgt, cf in inner.items():
                     t, tc = bracket_with_term(f1, n1, tgt, cf)
                     for k, v in t.items():
@@ -231,15 +364,15 @@ def test_jacobi_identity(pres, c):
                     lhs_central = lhs_central + tc
                 rhs: dict = {}
                 rhs_central = GaussianRational(0)
-                ab, ab_c = _as_terms(pres, f1, n1, f2, n2, c)
+                ab, ab_c = bracket(f1, n1, f2, n2)
                 for tgt, cf in ab.items():
                     (fm, idx) = tgt
-                    t, tc = _as_terms(pres, fm, idx, f3, n3, c)
+                    t, tc = bracket(fm, idx, f3, n3)
                     for k, v in t.items():
                         rhs[k] = rhs.get(k, GaussianRational(0)) + cf * v
                     rhs_central = rhs_central + cf * tc
                 sgn = -1 if (pres.parity(f1) and pres.parity(f2)) else 1
-                ac, ac_c = _as_terms(pres, f1, n1, f3, n3, c)
+                ac, ac_c = bracket(f1, n1, f3, n3)
                 for tgt, cf in ac.items():
                     t, tc = bracket_with_term(f2, n2, tgt, cf)
                     for k, v in t.items():
@@ -323,6 +456,23 @@ def test_psd_examples():
 def test_psd_rejects_non_hermitian():
     with pytest.raises(ValueError):
         psd_check([[G(0), G(1)], [G(2), G(0)]])
+
+
+def test_psd_rejects_nearly_hermitian_at_the_first_pair():
+    """Pairs that differ by 1/10^30 are caught, at the first (i, j) in
+    row-major order, for the real and for the imaginary part."""
+    tiny = Fraction(1, 10**30)
+    third = G(Fraction(1, 3))
+    m = [[G(1), third, G(0)], [third, G(2), third], [G(0), third + tiny, G(3)]]
+    with pytest.raises(ValueError, match=r"at \(1,2\)"):
+        psd_check(m)
+    z = GaussianRational(Fraction(1, 3), Fraction(2, 7))
+    m = [[G(1), z], [GaussianRational(z.re, -z.im + tiny), G(1)]]
+    with pytest.raises(ValueError, match=r"at \(0,1\)"):
+        psd_check(m)
+    m = [[GaussianRational(1, tiny)]]
+    with pytest.raises(ValueError, match=r"at \(0,0\)"):
+        psd_check(m)
 
 
 def test_psd_complex_witness():
