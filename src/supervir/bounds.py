@@ -19,7 +19,8 @@ import numpy as np
 from .fock import FockVector, enumerate_basis, inner_product, state_norm_sq
 from .halfint import HalfInt
 from .oscillators import ModeOperator
-from .realizations import RealizationParams, make_mode, role_is_odd
+from .realizations import RealizationParams, make_mode
+from .superalg import family_presentation
 from .verify import CheckReport, ResidualEntry
 
 
@@ -31,7 +32,7 @@ def anticommutator_identity(
     Holds because the unitary-variant fields are symmetric; it is the
     identity that converts anticommutator bounds into mode bounds.
     """
-    if not role_is_odd(role):
+    if role not in params.roles() or not family_presentation(params.family).parity(role):
         raise ValueError(f"the anticommutator identity concerns odd generators, not {role}")
     if params.variant != "unitary":
         raise ValueError("identity requires the symmetric (unitary) variant")
@@ -123,7 +124,7 @@ def derived_bound_check(
         anti_vec = up(down.apply_state(state)) + down(up.apply_state(state))
         anti_norm = anti_vec.norm_sq()
         mode_norm = up.apply_state(state).norm_sq()
-        lhs_sq = up.apply_state(state).norm_sq() + down.apply_state(state).norm_sq()
+        lhs_sq = mode_norm + down.apply_state(state).norm_sq()
         rhs = inner_product(FockVector.basis(state), anti_vec)
         identity_residual += (rhs - lhs_sq).norm_sq()
         hyp = _power_compare(anti_norm, M * M * cnorm, npow, 2 * s, w + 1, 2 * k)

@@ -21,12 +21,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .fock import FieldContent
+from .fock import FieldContent, FockVector
 from .halfint import HalfInt, half, halfint_range
 from .oscillators import boson_mode, fermion_mode
-from .realizations import RealizationParams
+from .realizations import RealizationParams, make_mode
 from .scalars import format_rational, parse_rational
-from .superalg import discrete_series
+from .superalg import discrete_series, family_presentation
 from .walgebra import (
     central_charge_data,
     collapsing_levels,
@@ -129,9 +129,6 @@ def _default_pairs(window: int) -> list[tuple[HalfInt, HalfInt]]:
 
 
 def _lowest_weight_report(params: RealizationParams) -> verify.CheckReport:
-    from .fock import FockVector
-    from .realizations import make_mode
-
     report = verify.CheckReport("lowest_weight", params.to_config())
     vac = FockVector.vacuum(params.content)
     l0 = make_mode(params, "L", half(0))(vac)
@@ -150,8 +147,9 @@ def _lowest_weight_report(params: RealizationParams) -> verify.CheckReport:
     if params.is_vacuum_like():
         lm1 = make_mode(params, "L", half(-2))(vac)
         report.entries.append(verify.ResidualEntry("L(-1)_kills_vacuum", (), lm1.norm_sq()))
+        pres = family_presentation(params.family)
         for role in params.roles():
-            if role.startswith("G"):
+            if pres.parity(role):
                 gm = make_mode(params, role, half(-1))(vac)
                 report.entries.append(verify.ResidualEntry(f"{role}(-1/2)_kills_vacuum", (), gm.norm_sq()))
     return report

@@ -36,10 +36,10 @@ from .oscillators import (
     bilinear_mode,
     boson_mode,
     fermion_mode,
-    scalar_operator,
     tail_sum,
 )
 from .scalars import GaussianRational, format_rational, parse_rational
+from .superalg import family_presentation, pbw_words
 
 FAMILIES = ("ns", "n2")
 VARIANTS = ("tilde", "bs", "unitary")
@@ -95,7 +95,7 @@ class RealizationParams:
         return self.lowest_weight() == 0 and self.charge() == 0
 
     def roles(self) -> tuple[str, ...]:
-        return ("L", "G") if self.family == "ns" else ("L", "G1", "G2", "J")
+        return tuple(fam.name for fam in family_presentation(self.family).families)
 
     # -- serialization ------------------------------------------------------
 
@@ -122,64 +122,43 @@ class RealizationParams:
         )
 
 
-def role_is_odd(role: str) -> bool:
-    return role.startswith("G")
-
-
-def role_lattice_is_integer(role: str) -> bool:
-    return not role_is_odd(role)
-
-
 # ---------------------------------------------------------------------------
-# base fields (the kappa = eta = omega = 0 point, common to all variants)
+# the realizations as data
 # ---------------------------------------------------------------------------
+#
+# One row per (family, role): the base bilinears with their coefficients
+# (the kappa = eta = omega = 0 point, common to all variants), the
+# deformed mode (kind, species, sign s) or None, the species of the
+# unitary variant's omega partner, and the species of a 2 kappa J_m
+# term that every variant adds.  With w = m for a J mode and w = 2n
+# for a Phi mode, every variant follows from three rules:
+#
+#   tilde    adds  s (-i kappa)(1 + w) A_n;
+#   bs       is tilde plus  s (-2i kappa) tail(A)_n;
+#   unitary  is tilde plus  s (eta + i kappa) A_n,  plus omega A_n on the
+#            partner species, plus h (for L) or q (for J) at the zero mode.
+#
+# Boson and fermion species 0 and 1 of "n2" are its "+" and "-" fields.
 
+_HALF = Fraction(1, 2)
+_JJ = tuple(BilinearSpec("J", s, "J", s) for s in (0, 1))
+_DPP = tuple(BilinearSpec("dPhi", s, "Phi", s) for s in (0, 1))
 
-@lru_cache(maxsize=None)
-def _ns_base(role: str, index: HalfInt) -> ModeOperator:
-    if role == "L":
-        m = index
-        return bilinear_mode(BilinearSpec("J", 0, "J", 0), m).scale(Fraction(1, 2)) + bilinear_mode(
-            BilinearSpec("dPhi", 0, "Phi", 0), m
-        ).scale(Fraction(1, 2))
-    if role == "G":
-        return bilinear_mode(BilinearSpec("J", 0, "Phi", 0), index)
-    raise ValueError(f"unknown ns role {role!r}")
+_TABLE = {
+    "ns": {
+        "L": (((_JJ[0], _HALF), (_DPP[0], _HALF)), ("J", 0, 1), None, None),
+        "G": (((BilinearSpec("J", 0, "Phi", 0), 1),), ("Phi", 0, 1), None, None),
+    },
+    "n2": {
+        "L": (((_JJ[0], _HALF), (_JJ[1], _HALF), (_DPP[0], _HALF), (_DPP[1], _HALF)), ("J", 1, 1), 0, None),
+        "G1": (((BilinearSpec("J", 0, "Phi", 0), 1), (BilinearSpec("J", 1, "Phi", 1), -1)), ("Phi", 1, -1), 0, None),
+        "G2": (((BilinearSpec("J", 0, "Phi", 1), 1), (BilinearSpec("J", 1, "Phi", 0), 1)), ("Phi", 0, 1), 1, None),
+        "J": (((BilinearSpec("Phi", 0, "Phi", 1), -_I),), None, None, 0),
+    },
+}
 
-
-@lru_cache(maxsize=None)
-def _n2_base(role: str, index: HalfInt) -> ModeOperator:
-    if role == "L":
-        m = index
-        op = bilinear_mode(BilinearSpec("J", 0, "J", 0), m).scale(Fraction(1, 2))
-        op = op + bilinear_mode(BilinearSpec("J", 1, "J", 1), m).scale(Fraction(1, 2))
-        op = op + bilinear_mode(BilinearSpec("dPhi", 0, "Phi", 0), m).scale(Fraction(1, 2))
-        op = op + bilinear_mode(BilinearSpec("dPhi", 1, "Phi", 1), m).scale(Fraction(1, 2))
-        return op
-    if role == "G1":
-        return bilinear_mode(BilinearSpec("J", 0, "Phi", 0), index) - bilinear_mode(
-            BilinearSpec("J", 1, "Phi", 1), index
-        )
-    if role == "G2":
-        return bilinear_mode(BilinearSpec("J", 0, "Phi", 1), index) + bilinear_mode(
-            BilinearSpec("J", 1, "Phi", 0), index
-        )
-    if role == "J":
-        return bilinear_mode(BilinearSpec("Phi", 0, "Phi", 1), index).scale(-_I)
-    raise ValueError(f"unknown n2 role {role!r}")
-
-
-# ---------------------------------------------------------------------------
-# the deformed mode families
-# ---------------------------------------------------------------------------
-
-
-def _check_lattice(role: str, index: HalfInt):
-    if role_is_odd(role):
-        if index.is_integer:
-            raise ValueError(f"role {role} lives on the half-odd lattice, got {index}")
-    elif not index.is_integer:
-        raise ValueError(f"role {role} lives on the integer lattice, got {index}")
+# the constant a zero mode of the unitary variant adds on the cyclic vector
+_ZERO_MODE = {"L": RealizationParams.lowest_weight, "J": RealizationParams.charge}
 
 
 @lru_cache(maxsize=None)
@@ -188,72 +167,35 @@ def make_mode(params: RealizationParams, role: str, index: HalfInt) -> ModeOpera
     index = HalfInt(index)
     if role not in params.roles():
         raise ValueError(f"role {role!r} not in family {params.family!r}")
-    _check_lattice(role, index)
-    kappa = params.kappa
-
-    if params.family == "ns":
-        op = _ns_base(role, index)
-        if role == "L":
-            m = index.as_int()
-            if params.variant == "tilde":
-                op = op - (_I * (kappa * (1 + m))) * boson_mode(0, m)
-            elif params.variant == "bs":
-                op = op - (_I * (kappa * (1 + m))) * boson_mode(0, m)
-                op = op - (_I * (2 * kappa)) * tail_sum("J", 0, index)
-            else:
-                coeff = GaussianRational(params.eta) - _I * (kappa * m)
-                op = op + coeff * boson_mode(0, m)
-                if m == 0:
-                    op = op + scalar_operator(params.lowest_weight())
-        else:  # role == "G"
-            n = index.as_fraction()
-            if params.variant == "tilde":
-                op = op - (_I * (kappa * (1 + 2 * n))) * fermion_mode(0, index)
-            elif params.variant == "bs":
-                op = op - (_I * (kappa * (1 + 2 * n))) * fermion_mode(0, index)
-                op = op - (_I * (2 * kappa)) * tail_sum("Phi", 0, index)
-            else:
-                coeff = GaussianRational(params.eta) - _I * (2 * kappa * n)
-                op = op + coeff * fermion_mode(0, index)
-        return op
-
-    # family == "n2"; boson species: 0 = "+", 1 = "-"; same for fermions
-    op = _n2_base(role, index)
-    if role == "L":
-        m = index.as_int()
-        if params.variant == "tilde":
-            op = op - (_I * (kappa * (1 + m))) * boson_mode(1, m)
-        elif params.variant == "bs":
-            op = op - (_I * (kappa * (1 + m))) * boson_mode(1, m)
-            op = op - (_I * (2 * kappa)) * tail_sum("J", 1, index)
+    if family_presentation(params.family).integer_moded(role) != index.is_integer:
+        lattice = "half-odd" if index.is_integer else "integer"
+        raise ValueError(f"role {role} lives on the {lattice} lattice, got {index}")
+    base, deformed, partner, current = _TABLE[params.family][role]
+    kappa, variant = params.kappa, params.variant
+    terms = [(bilinear_mode(spec, index), cf) for spec, cf in base]
+    if current is not None:
+        terms.append((boson_mode(current, index.as_int()), 2 * kappa))
+    if deformed is not None:
+        kind, species, s = deformed
+        if kind == "J":
+            w = index.as_int()
+            mode = lambda sp: boson_mode(sp, w)
         else:
-            op = op + GaussianRational(params.omega) * boson_mode(0, m)
-            op = op + (GaussianRational(params.eta) - _I * (kappa * m)) * boson_mode(1, m)
-            if m == 0:
-                op = op + scalar_operator(params.lowest_weight())
-    elif role in ("G1", "G2"):
-        # G1 corrections ride on the "-" fermion, G2 on the "+" one,
-        # with opposite signs.
-        n = index.as_fraction()
-        ferm = 1 if role == "G1" else 0
-        sgn = 1 if role == "G1" else -1
-        if params.variant == "tilde":
-            op = op + (sgn * _I * (kappa * (1 + 2 * n))) * fermion_mode(ferm, index)
-        elif params.variant == "bs":
-            op = op + (sgn * _I * (kappa * (1 + 2 * n))) * fermion_mode(ferm, index)
-            op = op + (sgn * _I * (2 * kappa)) * tail_sum("Phi", ferm, index)
-        else:
-            if role == "G1":
-                op = op + GaussianRational(params.omega) * fermion_mode(0, index)
-                op = op + (-GaussianRational(params.eta) + _I * (2 * kappa * n)) * fermion_mode(1, index)
-            else:
-                op = op + GaussianRational(params.omega) * fermion_mode(1, index)
-                op = op + (GaussianRational(params.eta) - _I * (2 * kappa * n)) * fermion_mode(0, index)
-    else:  # role == "J"
-        m = index.as_int()
-        op = op + GaussianRational(2 * kappa) * boson_mode(0, m)
-        if params.variant == "unitary" and m == 0:
-            op = op + scalar_operator(params.charge())
+            w = index.twice
+            mode = lambda sp: fermion_mode(sp, index)
+        coeff = -_I * (kappa * (1 + w))
+        if variant == "unitary":
+            coeff = coeff + params.eta + _I * kappa
+            if params.omega:
+                terms.append((mode(partner), params.omega))
+        terms.append((mode(species), s * coeff))
+        if variant == "bs":
+            terms.append((tail_sum(kind, species, index), -2 * s * _I * kappa))
+    if variant == "unitary" and index == 0:
+        terms.append((ModeOperator.identity(), _ZERO_MODE[role](params)))
+    op = ModeOperator.zero()
+    for term, cf in terms:
+        op = op + term.scale(cf)
     return op
 
 
@@ -280,21 +222,19 @@ def cyclic_words(params: RealizationParams, max_level: HalfInt) -> list[tuple[Wo
     are discarded; that they indeed annihilate the vacuum is checked
     here rather than assumed.
     """
-    from .superalg import family_presentation, pbw_words  # deferred; no cycle at import
-
     max_level = HalfInt(max_level)
     if max_level < 0:
         raise ValueError("max_level must be nonnegative")
+    pres = family_presentation(params.family)
     vacuum_like = params.is_vacuum_like()
     if vacuum_like:
         vac = FockVector.vacuum(params.content)
         for role in params.roles():
-            index = half(-2) if role_lattice_is_integer(role) else half(-1)
+            index = half(-2) if pres.integer_moded(role) else half(-1)
             if role == "J":
                 continue  # J_{-1} does not annihilate the vacuum
             if not make_mode(params, role, index)(vac).is_zero():
                 raise AssertionError(f"{role}_{index} was expected to annihilate the vacuum")
-    pres = family_presentation(params.family)
     out: list[tuple[Word, FockVector]] = []
     for twice_level in range(0, max_level.twice + 1):
         for word in pbw_words(pres, half(twice_level), drop_vacuum_annihilators=vacuum_like):

@@ -51,7 +51,9 @@ class LowestWeightData:
 class Presentation:
     """Generator families plus the structural super-bracket.
 
-    bracket_fn(f1, n1, f2, n2, c) returns (terms, central) where terms
+    The bracket is a table keyed by the ordered family pair, each row
+    (target family or None, coefficient(m, n), central(c, m) or None).
+    bracket(f1, n1, f2, n2, c) reads it as (terms, central), where terms
     is a tuple of (family, index, coefficient) and central multiplies
     the identity.
 
@@ -69,13 +71,13 @@ class Presentation:
     _bind and _reduce).
     """
 
-    def __init__(self, name: str, families: tuple[GeneratorFamily, ...], bracket_fn):
+    def __init__(self, name: str, families: tuple[GeneratorFamily, ...], brackets: dict):
         self.name = name
         self.families = families
         self._rank = {fam.name: i for i, fam in enumerate(families)}
         self._parity = {fam.name: fam.parity for fam in families}
         self._integer = {fam.name: fam.integer_moded for fam in families}
-        self._bracket_fn = bracket_fn
+        self._brackets = brackets
         # interned generators: (family, twice) -> id, and per-id arrays
         self._ids: dict[tuple[str, int], int] = {}
         self._gen_family: list[str] = []
@@ -137,7 +139,14 @@ class Presentation:
         return self._rank[family]
 
     def bracket(self, f1: str, n1: HalfInt, f2: str, n2: HalfInt, c: Fraction):
-        return self._bracket_fn(f1, n1, f2, n2, c)
+        row = self._brackets.get((f1, f2))
+        if row is None:
+            raise ValueError(f"unknown family pair {(f1, f2)}")
+        target, coefficient, central = row
+        m, n = n1.as_fraction(), n2.as_fraction()
+        k = n1 + n2
+        terms = ((target, k, GaussianRational.coerce(coefficient(m, n))),) if target else ()
+        return terms, GaussianRational(central(c, m) if central and k == 0 else 0)
 
     def family_pairs(self) -> Iterator[tuple[str, str]]:
         for i, fam1 in enumerate(self.families):
@@ -150,71 +159,40 @@ class Presentation:
 # ---------------------------------------------------------------------------
 
 
-def _vir_terms(f1, n1, f2, n2, c):
-    m, n = n1.as_fraction(), n2.as_fraction()
-    terms = (("L", n1 + n2, GaussianRational(m - n)),)
-    central = GaussianRational(c * (m**3 - m) / 12) if n1 + n2 == 0 else GaussianRational(0)
-    return terms, central
+# (family, family) -> (target family or None, coefficient(m, n), central(c, m)
+# or None): [A_m, B_n] = coefficient * T_{m+n} + delta(m+n, 0) central
+_VIR_ROWS = {("L", "L"): ("L", lambda m, n: m - n, lambda c, m: c * (m**3 - m) / 12)}
 
 
-def _ns_bracket(f1, n1, f2, n2, c):
-    m, n = n1.as_fraction(), n2.as_fraction()
-    zero = GaussianRational(0)
-    if (f1, f2) == ("L", "L"):
-        return _vir_terms(f1, n1, f2, n2, c)
-    if (f1, f2) == ("L", "G"):
-        return ((("G", n1 + n2, GaussianRational(m / 2 - n)),), zero)
-    if (f1, f2) == ("G", "L"):
-        return ((("G", n1 + n2, GaussianRational(m - n / 2)),), zero)
-    if (f1, f2) == ("G", "G"):
-        central = GaussianRational(c / 3 * (m**2 - Fraction(1, 4))) if n1 + n2 == 0 else zero
-        return ((("L", n1 + n2, GaussianRational(2)),), central)
-    raise ValueError(f"unknown family pair {(f1, f2)}")
+def _superconformal_rows(odd: tuple[str, ...]) -> dict:
+    """The Virasoro row plus the L-G and G-G rows of each odd family."""
+    rows = dict(_VIR_ROWS)
+    for g in odd:
+        rows[("L", g)] = (g, lambda m, n: m / 2 - n, None)
+        rows[(g, "L")] = (g, lambda m, n: m - n / 2, None)
+        rows[(g, g)] = ("L", lambda m, n: 2, lambda c, m: c / 3 * (m**2 - Fraction(1, 4)))
+    return rows
 
 
-def _n2_bracket(f1, n1, f2, n2, c):
-    m, n = n1.as_fraction(), n2.as_fraction()
-    zero = GaussianRational(0)
-    k = n1 + n2
-    pair = (f1, f2)
-    if pair == ("L", "L"):
-        return _vir_terms(f1, n1, f2, n2, c)
-    if f1 == "L" and f2 in ("G1", "G2"):
-        return (((f2, k, GaussianRational(m / 2 - n)),), zero)
-    if f1 in ("G1", "G2") and f2 == "L":
-        return (((f1, k, GaussianRational(m - n / 2)),), zero)
-    if pair in (("G1", "G1"), ("G2", "G2")):
-        central = GaussianRational(c / 3 * (m**2 - Fraction(1, 4))) if k == 0 else zero
-        return ((("L", k, GaussianRational(2)),), central)
-    if pair == ("G1", "G2"):
-        return ((("J", k, _I * (m - n)),), zero)
-    if pair == ("G2", "G1"):
-        return ((("J", k, _I * (n - m)),), zero)
-    if pair == ("G1", "J"):
-        return ((("G2", k, -_I),), zero)
-    if pair == ("J", "G1"):
-        return ((("G2", k, _I),), zero)
-    if pair == ("G2", "J"):
-        return ((("G1", k, _I),), zero)
-    if pair == ("J", "G2"):
-        return ((("G1", k, -_I),), zero)
-    if pair == ("L", "J"):
-        return ((("J", k, GaussianRational(-n)),), zero)
-    if pair == ("J", "L"):
-        return ((("J", k, GaussianRational(m)),), zero)
-    if pair == ("J", "J"):
-        central = GaussianRational(c / 3 * m) if k == 0 else zero
-        return ((), central)
-    raise ValueError(f"unknown family pair {pair}")
+_NS_ROWS = _superconformal_rows(("G",))
+_N2_ROWS = {
+    **_superconformal_rows(("G1", "G2")),
+    ("G1", "G2"): ("J", lambda m, n: _I * (m - n), None),
+    ("G2", "G1"): ("J", lambda m, n: _I * (n - m), None),
+    ("G1", "J"): ("G2", lambda m, n: -_I, None),
+    ("J", "G1"): ("G2", lambda m, n: _I, None),
+    ("G2", "J"): ("G1", lambda m, n: _I, None),
+    ("J", "G2"): ("G1", lambda m, n: -_I, None),
+    ("L", "J"): ("J", lambda m, n: -n, None),
+    ("J", "L"): ("J", lambda m, n: m, None),
+    ("J", "J"): (None, None, lambda c, m: c / 3 * m),
+}
 
-
-_VIRASORO = Presentation(
-    "virasoro", (GeneratorFamily("L", 0, True),), _vir_terms
-)
+_VIRASORO = Presentation("virasoro", (GeneratorFamily("L", 0, True),), _VIR_ROWS)
 _NS = Presentation(
     "ns",
     (GeneratorFamily("L", 0, True), GeneratorFamily("G", 1, False)),
-    _ns_bracket,
+    _NS_ROWS,
 )
 _N2 = Presentation(
     "n2",
@@ -224,7 +202,7 @@ _N2 = Presentation(
         GeneratorFamily("G2", 1, False),
         GeneratorFamily("J", 0, True),
     ),
-    _n2_bracket,
+    _N2_ROWS,
 )
 
 

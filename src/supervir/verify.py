@@ -187,26 +187,21 @@ def fock_pairing_crosscheck(content, max_weight: HalfInt) -> CheckReport:
     words up to the cutoff are computed purely from the commutation
     relations and compared against the diagonal Fock pairing.
     """
-    from .fock import FieldContent  # noqa: F401  (signature documentation)
-
     max_weight = HalfInt(max_weight)
     basis = enumerate_basis(content, max_weight)
-
-    def creation_word(state: FockState) -> tuple:
-        word = []
-        for species, modes in enumerate(state.bosons):
-            word.extend(("J", species, -2 * m) for m in modes)
-        for species, modes in enumerate(state.fermions):
-            word.extend(("Phi", species, -t) for t in modes)
-        return tuple(word)
+    words = [
+        tuple(("J", species, -2 * m) for species, modes in enumerate(state.bosons) for m in modes)
+        + tuple(("Phi", species, -t) for species, modes in enumerate(state.fermions) for t in modes)
+        for state in basis
+    ]
 
     report = CheckReport("fock_pairing_crosscheck", {"cutoff": str(max_weight)})
     residual = Fraction(0)
     witness = None
-    for s in basis:
-        for t in basis:
+    for s, word_s in zip(basis, words):
+        for t, word_t in zip(basis, words):
             direct = state_norm_sq(s) if s == t else 0
-            reduced = _free_pairing(creation_word(s), creation_word(t))
+            reduced = _free_pairing(word_s, word_t)
             diff = (direct - reduced) ** 2
             if diff:
                 residual += diff
@@ -320,28 +315,27 @@ def check_weak_symmetry(
     params: RealizationParams,
     pairs: list[tuple[HalfInt, HalfInt]],
     weight_cutoff: HalfInt,
-    roles: Optional[tuple[str, ...]] = None,
 ) -> CheckReport:
     """Paired adjoint identities for the tail-deformed variant.
 
     For each (n, m) with n - m an integer, checks exactly that
       <(A_n - (-1)^(n-m) A_m) u, v> = <u, (A_-n - (-1)^(n-m) A_-m) v>
-    on all basis u, v up to the cutoff, for A among the L and G-type
-    families.  Single modes are NOT symmetric for this variant; see
+    on all basis u, v up to the cutoff, for A every generator family of
+    the realization.  Single modes are NOT symmetric for this variant; see
     single_mode_symmetry_control.
     """
     if params.variant != "bs":
         raise ValueError("weak symmetry pairing is specific to the tail-deformed (bs) variant")
     basis = enumerate_basis(params.content, HalfInt(weight_cutoff))
-    roles = roles or tuple(r for r in params.roles())
+    pres = family_presentation(params.family)
     report = CheckReport(
         "weak_symmetry", {**params.to_config(), "cutoff": str(HalfInt(weight_cutoff))}
     )
-    for role in roles:
-        odd = role.startswith("G")
+    for role in params.roles():
+        integer = pres.integer_moded(role)
         for n, m in pairs:
             n, m = HalfInt(n), HalfInt(m)
-            if odd == n.is_integer or odd == m.is_integer:
+            if integer != n.is_integer or integer != m.is_integer:
                 continue  # pair lives on the other lattice
             if not (n - m).is_integer:
                 raise ValueError("pair offsets must be integral")

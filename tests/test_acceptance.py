@@ -15,7 +15,7 @@ from math import factorial
 
 from supervir.bounds import anticommutator_identity, norm_estimate
 from supervir.cli import main as cli_main
-from supervir.fock import FieldContent, FockVector
+from supervir.fock import FieldContent, FockVector, enumerate_basis
 from supervir.halfint import half
 from supervir.oscillators import fermion_mode
 from supervir.realizations import RealizationParams, make_mode
@@ -370,3 +370,39 @@ def test_criterion_11_kac_determinant():
         raise
     finally:
         _report(11, passed, "Virasoro Verma Gram determinants equal the Kac formula at levels 1-6")
+
+
+def _fock_character(content: FieldContent, max_twice: int) -> list[int]:
+    """Coefficients, by twice the weight, of the Fock character
+    prod_n (1 + q^(n-1/2))^F / (1 - q^n)^B, as integer power-series
+    products truncated at q^(max_twice/2)."""
+
+    def times(series, factor):
+        return [sum(series[i] * factor[t - i] for i in range(t + 1)) for t in range(max_twice + 1)]
+
+    series = [1] + [0] * max_twice
+    for t in range(1, max_twice + 1, 2):  # 1 + q^(t/2) per fermion species
+        factor = [1 if i in (0, t) else 0 for i in range(max_twice + 1)]
+        for _ in range(content.fermions):
+            series = times(series, factor)
+    for t in range(2, max_twice + 1, 2):  # 1/(1 - q^(t/2)) = sum_j q^(j t/2) per boson species
+        factor = [1 if i % t == 0 else 0 for i in range(max_twice + 1)]
+        for _ in range(content.bosons):
+            series = times(series, factor)
+    return series
+
+
+def test_criterion_12_fock_character():
+    passed = True
+    try:
+        max_twice = 16  # weight 8
+        for content in (FieldContent(1, 1), FieldContent(2, 2), FieldContent(0, 3)):
+            counts = [0] * (max_twice + 1)
+            for state in enumerate_basis(content, half(max_twice)):
+                counts[state.weight.twice] += 1
+            assert counts == _fock_character(content, max_twice), content
+    except AssertionError:
+        passed = False
+        raise
+    finally:
+        _report(12, passed, "Fock basis sizes at every weight up to 8 equal the character coefficients")

@@ -169,7 +169,8 @@ def test_reports_deterministic_across_processes(tmp_path):
 
 
 @pytest.mark.parametrize("module,absent", [("supervir.verify", ("numpy", "scipy")), ("supervir.cli", ("numpy", "scipy")),
-                                           ("supervir.superalg", ("numpy", "scipy"))])
+                                           ("supervir.superalg", ("numpy", "scipy")),
+                                           ("supervir.realizations", ("numpy", "scipy"))])
 def test_imports_stay_light(module, absent):
     """The exact engine needs neither numpy nor scipy; importing either
     would dominate the start-up time of a check.  Only the CLI's bounds

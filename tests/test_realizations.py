@@ -2,9 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from supervir.fock import FockVector, enumerate_basis, inner_product
-from supervir.halfint import half, halfint_range
-from supervir.oscillators import boson_mode, fermion_mode, tail_sum
+from supervir.fock import FockVector, enumerate_basis, inner_product, state_table
+from supervir.halfint import HalfInt, half, halfint_range
+from supervir.oscillators import (
+    BilinearSpec,
+    bilinear_mode,
+    boson_mode,
+    fermion_mode,
+    scalar_operator,
+    tail_sum,
+)
 from supervir.realizations import RealizationParams, cyclic_words, make_mode, realize_word
 from supervir.scalars import GaussianRational
 
@@ -185,3 +192,126 @@ def test_realize_word_matches_mode_application():
     vec = realize_word(p, word)
     direct = make_mode(p, "L", half(-4))(make_mode(p, "G", half(-3))(FockVector.vacuum(p.content)))
     assert vec == direct
+
+
+# ---------------------------------------------------------------------------
+# reference: the hand-written variant branches the realization table replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_ns_base(role, index):
+    if role == "L":
+        return bilinear_mode(BilinearSpec("J", 0, "J", 0), index).scale(Fraction(1, 2)) + bilinear_mode(
+            BilinearSpec("dPhi", 0, "Phi", 0), index
+        ).scale(Fraction(1, 2))
+    return bilinear_mode(BilinearSpec("J", 0, "Phi", 0), index)
+
+
+def _reference_n2_base(role, index):
+    if role == "L":
+        op = bilinear_mode(BilinearSpec("J", 0, "J", 0), index).scale(Fraction(1, 2))
+        op = op + bilinear_mode(BilinearSpec("J", 1, "J", 1), index).scale(Fraction(1, 2))
+        op = op + bilinear_mode(BilinearSpec("dPhi", 0, "Phi", 0), index).scale(Fraction(1, 2))
+        op = op + bilinear_mode(BilinearSpec("dPhi", 1, "Phi", 1), index).scale(Fraction(1, 2))
+        return op
+    if role == "G1":
+        return bilinear_mode(BilinearSpec("J", 0, "Phi", 0), index) - bilinear_mode(
+            BilinearSpec("J", 1, "Phi", 1), index
+        )
+    if role == "G2":
+        return bilinear_mode(BilinearSpec("J", 0, "Phi", 1), index) + bilinear_mode(
+            BilinearSpec("J", 1, "Phi", 0), index
+        )
+    return bilinear_mode(BilinearSpec("Phi", 0, "Phi", 1), index).scale(-I)
+
+
+def _reference_make_mode(params, role, index):
+    kappa = params.kappa
+    if params.family == "ns":
+        op = _reference_ns_base(role, index)
+        if role == "L":
+            m = index.as_int()
+            if params.variant == "tilde":
+                op = op - (I * (kappa * (1 + m))) * boson_mode(0, m)
+            elif params.variant == "bs":
+                op = op - (I * (kappa * (1 + m))) * boson_mode(0, m)
+                op = op - (I * (2 * kappa)) * tail_sum("J", 0, index)
+            else:
+                coeff = GaussianRational(params.eta) - I * (kappa * m)
+                op = op + coeff * boson_mode(0, m)
+                if m == 0:
+                    op = op + scalar_operator(params.lowest_weight())
+        else:
+            n = index.as_fraction()
+            if params.variant == "tilde":
+                op = op - (I * (kappa * (1 + 2 * n))) * fermion_mode(0, index)
+            elif params.variant == "bs":
+                op = op - (I * (kappa * (1 + 2 * n))) * fermion_mode(0, index)
+                op = op - (I * (2 * kappa)) * tail_sum("Phi", 0, index)
+            else:
+                coeff = GaussianRational(params.eta) - I * (2 * kappa * n)
+                op = op + coeff * fermion_mode(0, index)
+        return op
+    op = _reference_n2_base(role, index)
+    if role == "L":
+        m = index.as_int()
+        if params.variant == "tilde":
+            op = op - (I * (kappa * (1 + m))) * boson_mode(1, m)
+        elif params.variant == "bs":
+            op = op - (I * (kappa * (1 + m))) * boson_mode(1, m)
+            op = op - (I * (2 * kappa)) * tail_sum("J", 1, index)
+        else:
+            op = op + GaussianRational(params.omega) * boson_mode(0, m)
+            op = op + (GaussianRational(params.eta) - I * (kappa * m)) * boson_mode(1, m)
+            if m == 0:
+                op = op + scalar_operator(params.lowest_weight())
+    elif role in ("G1", "G2"):
+        n = index.as_fraction()
+        ferm = 1 if role == "G1" else 0
+        sgn = 1 if role == "G1" else -1
+        if params.variant == "tilde":
+            op = op + (sgn * I * (kappa * (1 + 2 * n))) * fermion_mode(ferm, index)
+        elif params.variant == "bs":
+            op = op + (sgn * I * (kappa * (1 + 2 * n))) * fermion_mode(ferm, index)
+            op = op + (sgn * I * (2 * kappa)) * tail_sum("Phi", ferm, index)
+        elif role == "G1":
+            op = op + GaussianRational(params.omega) * fermion_mode(0, index)
+            op = op + (-GaussianRational(params.eta) + I * (2 * kappa * n)) * fermion_mode(1, index)
+        else:
+            op = op + GaussianRational(params.omega) * fermion_mode(1, index)
+            op = op + (GaussianRational(params.eta) - I * (2 * kappa * n)) * fermion_mode(0, index)
+    else:
+        m = index.as_int()
+        op = op + GaussianRational(2 * kappa) * boson_mode(0, m)
+        if params.variant == "unitary" and m == 0:
+            op = op + scalar_operator(params.charge())
+    return op
+
+
+_KAPPAS = (Fraction(1, 2), Fraction(-2, 3), Fraction(1, 3), Fraction(0))
+_ETAS = (Fraction(2, 5), Fraction(0))
+_OMEGAS = (Fraction(3, 7), Fraction(0))
+TABLE_POINTS = [
+    params(family, variant, kappa)
+    for family in ("ns", "n2")
+    for variant in ("tilde", "bs")
+    for kappa in _KAPPAS
+] + [params("ns", "unitary", kappa, eta) for kappa in _KAPPAS for eta in _ETAS] + [
+    params("n2", "unitary", kappa, eta, omega) for kappa in _KAPPAS for eta in _ETAS for omega in _OMEGAS
+]
+
+
+@pytest.mark.parametrize("p", TABLE_POINTS, ids=lambda p: "-".join(map(str, p.to_config().values())))
+def test_make_mode_matches_reference_branches(p):
+    """The realization table gives, operator by operator, the integer
+    columns, parity and weight shift of the hand-written branches: every
+    generator with |index| <= 3 on the weight-3 basis, 832 operators over
+    the 40 points."""
+    table = state_table(p.content)
+    ids = [table.id_of(s) for s in enumerate_basis(p.content, half(6))]
+    for role in p.roles():
+        for index in halfint_range(half(-6), half(6), integer=role in ("L", "J")):
+            op, ref = make_mode(p, role, index), _reference_make_mode(p, role, HalfInt(index))
+            assert (op.parity, op.weight_shift, op.denom) == (ref.parity, ref.weight_shift, ref.denom), (role, index)
+            for sid in ids:
+                assert op.column(table, sid) == ref.column(table, sid), (role, index, table.states[sid])

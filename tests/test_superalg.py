@@ -644,3 +644,89 @@ def test_discrete_series():
         discrete_series("vir", 1)
     with pytest.raises(ValueError):
         discrete_series("w3", 3)
+
+
+# ---------------------------------------------------------------------------
+# reference: the hand-written bracket functions the bracket table replaced
+# ---------------------------------------------------------------------------
+
+_I = GaussianRational(0, 1)
+
+
+def _reference_vir_terms(f1, n1, f2, n2, c):
+    m, n = n1.as_fraction(), n2.as_fraction()
+    terms = (("L", n1 + n2, GaussianRational(m - n)),)
+    central = GaussianRational(c * (m**3 - m) / 12) if n1 + n2 == 0 else GaussianRational(0)
+    return terms, central
+
+
+def _reference_ns_bracket(f1, n1, f2, n2, c):
+    m, n = n1.as_fraction(), n2.as_fraction()
+    zero = GaussianRational(0)
+    if (f1, f2) == ("L", "L"):
+        return _reference_vir_terms(f1, n1, f2, n2, c)
+    if (f1, f2) == ("L", "G"):
+        return ((("G", n1 + n2, GaussianRational(m / 2 - n)),), zero)
+    if (f1, f2) == ("G", "L"):
+        return ((("G", n1 + n2, GaussianRational(m - n / 2)),), zero)
+    central = GaussianRational(c / 3 * (m**2 - Fraction(1, 4))) if n1 + n2 == 0 else zero
+    return ((("L", n1 + n2, GaussianRational(2)),), central)
+
+
+def _reference_n2_bracket(f1, n1, f2, n2, c):
+    m, n = n1.as_fraction(), n2.as_fraction()
+    zero = GaussianRational(0)
+    k = n1 + n2
+    pair = (f1, f2)
+    if pair == ("L", "L"):
+        return _reference_vir_terms(f1, n1, f2, n2, c)
+    if f1 == "L" and f2 in ("G1", "G2"):
+        return (((f2, k, GaussianRational(m / 2 - n)),), zero)
+    if f1 in ("G1", "G2") and f2 == "L":
+        return (((f1, k, GaussianRational(m - n / 2)),), zero)
+    if pair in (("G1", "G1"), ("G2", "G2")):
+        central = GaussianRational(c / 3 * (m**2 - Fraction(1, 4))) if k == 0 else zero
+        return ((("L", k, GaussianRational(2)),), central)
+    if pair == ("G1", "G2"):
+        return ((("J", k, _I * (m - n)),), zero)
+    if pair == ("G2", "G1"):
+        return ((("J", k, _I * (n - m)),), zero)
+    if pair == ("G1", "J"):
+        return ((("G2", k, -_I),), zero)
+    if pair == ("J", "G1"):
+        return ((("G2", k, _I),), zero)
+    if pair == ("G2", "J"):
+        return ((("G1", k, _I),), zero)
+    if pair == ("J", "G2"):
+        return ((("G1", k, -_I),), zero)
+    if pair == ("L", "J"):
+        return ((("J", k, GaussianRational(-n)),), zero)
+    if pair == ("J", "L"):
+        return ((("J", k, GaussianRational(m)),), zero)
+    central = GaussianRational(c / 3 * m) if k == 0 else zero
+    return ((), central)
+
+
+@pytest.mark.parametrize("pres,reference", [(VIR, _reference_vir_terms), (NS, _reference_ns_bracket),
+                                            (N2, _reference_n2_bracket)], ids=["vir", "ns", "n2"])
+def test_bracket_table_matches_reference_functions(pres, reference):
+    """Every ordered family pair at |m|, |n| <= 6 and three central charges:
+    the table's terms, indices, coefficients and central terms equal the
+    hand-written brackets exactly."""
+    checked = 0
+    for c in (Fraction(7, 3), Fraction(-3), Fraction(0)):
+        for fam1 in pres.families:
+            for fam2 in pres.families:
+                for n1 in halfint_range(half(-12), half(12), integer=fam1.integer_moded):
+                    for n2 in halfint_range(half(-12), half(12), integer=fam2.integer_moded):
+                        got = pres.bracket(fam1.name, n1, fam2.name, n2, c)
+                        assert got == reference(fam1.name, n1, fam2.name, n2, c), (fam1.name, n1, fam2.name, n2, c)
+                        assert all(type(z) is GaussianRational for z in (got[1], *(cf for *_, cf in got[0])))
+                        checked += 1
+    assert checked == {"virasoro": 507, "ns": 1875, "n2": 7500}[pres.name]
+
+
+def test_bracket_rejects_unknown_family_pairs():
+    for pres, pair in ((VIR, ("L", "G")), (NS, ("G", "J")), (N2, ("G", "L"))):
+        with pytest.raises(ValueError, match="unknown family pair"):
+            pres.bracket(pair[0], half(0 if pair[0] in ("L", "J") else 1), pair[1], half(1), Fraction(1))
