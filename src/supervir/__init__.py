@@ -23,9 +23,7 @@ from .oscillators import (
     ModeOperator,
     bilinear_mode,
     boson_mode,
-    circle_derivative_mode,
     fermion_mode,
-    scalar_operator,
     tail_sum,
 )
 from .ratfunc import RationalFunction

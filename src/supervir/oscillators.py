@@ -44,9 +44,13 @@ from .scalars import GaussianRational
 class _Primitive:
     """One primitive action, with a parity and a weight_shift.  `act` maps
     the state with id `sid` of a state table to its integer column
-    ((id, numerator), ...); the coefficients are numerator / denominator."""
+    ((id, numerator), ...); the coefficients are numerator / denominator.
+
+    `need` is None, or (0 for bosons | 1 for fermions, species, index)
+    of a mode that a state must hold for the action not to vanish."""
 
     denominator = 1
+    need = None
 
     def act(self, table: StateTable, sid: int) -> tuple[tuple[int, int], ...]:
         raise NotImplementedError
@@ -63,6 +67,11 @@ class _BosonMode(_Primitive):
     m: int
 
     parity = 0
+
+    def __post_init__(self):
+        # J_m with m >= 0 needs the mode m held; J_0 needs mode 0, never held
+        if self.m >= 0:
+            object.__setattr__(self, "need", (0, self.species, self.m))
 
     @property
     def weight_shift(self) -> HalfInt:
@@ -97,6 +106,10 @@ class _FermionMode(_Primitive):
 
     parity = 1
 
+    def __post_init__(self):
+        if self.n_twice > 0:
+            object.__setattr__(self, "need", (1, self.species, self.n_twice))
+
     @property
     def weight_shift(self) -> HalfInt:
         return half(self.n_twice)
@@ -124,6 +137,20 @@ class _FermionMode(_Primitive):
         sign = -1 if crossings % 2 else 1
         fer = state.fermions[: self.species] + (new,) + state.fermions[self.species + 1 :]
         return ((table.id_of(FockState(state.bosons, fer)), sign),)
+
+
+# One interned object per (species, index), so that memo hits on a
+# primitive match by identity.
+
+
+@lru_cache(maxsize=None)
+def _boson(species: int, m: int) -> _BosonMode:
+    return _BosonMode(species, m)
+
+
+@lru_cache(maxsize=None)
+def _fermion(species: int, n_twice: int) -> _FermionMode:
+    return _FermionMode(species, n_twice)
 
 
 FactorKind = Literal["J", "Phi", "dPhi"]
@@ -170,17 +197,17 @@ def _left_factor_data(spec: BilinearSpec):
     zero operators or zero coefficients.
     """
     if spec.left_kind == "J":
-        return -2, lambda t: 1, lambda t: _BosonMode(spec.left_species, t // 2)
+        return -2, lambda t: 1, lambda t: _boson(spec.left_species, t // 2)
     if spec.left_kind == "Phi":
-        return -1, lambda t: 1, lambda t: _FermionMode(spec.left_species, t)
+        return -1, lambda t: 1, lambda t: _fermion(spec.left_species, t)
     # dPhi: coefficient (-a - 1/2) on Phi_a, creation branch a <= -3/2
-    return -3, lambda t: -t - 1, lambda t: _FermionMode(spec.left_species, t)
+    return -3, lambda t: -t - 1, lambda t: _fermion(spec.left_species, t)
 
 
 def _right_factor(spec: BilinearSpec) -> Callable[[int], _Primitive]:
     if spec.right_kind == "J":
-        return lambda t: _BosonMode(spec.right_species, t // 2)
-    return lambda t: _FermionMode(spec.right_species, t)
+        return lambda t: _boson(spec.right_species, t // 2)
+    return lambda t: _fermion(spec.right_species, t)
 
 
 def _nonzero(acc: dict[int, int]) -> tuple[tuple[int, int], ...]:
@@ -205,8 +232,13 @@ class _Bilinear(_Primitive):
         return half(self.k_twice)
 
     def act(self, table, sid):
+        state = table.states[sid]
+        held = (state.bosons, state.fermions)
         acc: dict[int, int] = {}
         for first, second, factor in _bilinear_branches(self.spec, self.k_twice, table.twice[sid]):
+            need = first.need
+            if need is not None and need[2] not in held[need[0]][need[1]]:
+                continue  # the first factor annihilates the state
             for s1, c1 in _act_cached(first, table, sid):
                 for s2, c2 in _act_cached(second, table, s1):
                     acc[s2] = acc.get(s2, 0) + c1 * c2 * factor
@@ -243,7 +275,7 @@ class _TailSum(_Primitive):
         acc: dict[int, int] = {}
         for l in range(1, (table.twice[sid] - self.m_twice) // 2 + 1):
             t = self.m_twice + 2 * l
-            prim = _BosonMode(self.species, t // 2) if self.kind == "J" else _FermionMode(self.species, t)
+            prim = _boson(self.species, t // 2) if self.kind == "J" else _fermion(self.species, t)
             for s, c in _act_cached(prim, table, sid):
                 acc[s] = acc.get(s, 0) + (-c if l % 2 else c)
         return _nonzero(acc)
@@ -351,25 +383,40 @@ class ModeOperator:
 
     # -- action ---------------------------------------------------------------
 
+    def memo(self, table: StateTable) -> dict[int, tuple]:
+        """The memoized columns on `table`, keyed by state id; `column`
+        fills it."""
+        memo = self._columns.get(table)
+        if memo is None:
+            memo = self._columns[table] = {}
+        return memo
+
     def column(self, table: StateTable, sid: int) -> tuple[tuple[int, int, int], ...]:
         """The image of state sid of `table` as ((id, re, im), ...), numerators
         over self.denom; memoized per table."""
-        memo = self._columns.setdefault(table, {})
+        memo = self.memo(table)
         column = memo.get(sid)
         if column is None:
             total: dict[int, list[int]] = {}
             for re, im, chain in self.terms:
-                vec = {sid: 1}
-                for prim in reversed(chain):
-                    nxt: dict[int, int] = {}
-                    for s, c in vec.items():
-                        for s2, c2 in _act_cached(prim, table, s):
-                            nxt[s2] = nxt.get(s2, 0) + c * c2
-                    vec = {s: c for s, c in nxt.items() if c}
-                for s, c in vec.items():
-                    acc = total.setdefault(s, [0, 0])
-                    acc[0] += re * c
-                    acc[1] += im * c
+                if len(chain) == 1:
+                    vec = _act_cached(chain[0], table, sid)
+                else:
+                    img = {sid: 1}
+                    for prim in reversed(chain):
+                        nxt: dict[int, int] = {}
+                        for s, c in img.items():
+                            for s2, c2 in _act_cached(prim, table, s):
+                                nxt[s2] = nxt.get(s2, 0) + c * c2
+                        img = {s: c for s, c in nxt.items() if c}
+                    vec = img.items()
+                for s, c in vec:
+                    acc = total.get(s)
+                    if acc is None:
+                        total[s] = [re * c, im * c]
+                    else:
+                        acc[0] += re * c
+                        acc[1] += im * c
             column = memo[sid] = tuple((s, re, im) for s, (re, im) in total.items() if re or im)
         return column
 
@@ -404,7 +451,7 @@ def boson_mode(species: int, m: int) -> ModeOperator:
     """The current mode J_m of one boson species; J_0 acts as zero."""
     if species < 0:
         raise ValueError("species index must be nonnegative")
-    return ModeOperator.from_primitive(_BosonMode(species, m))
+    return ModeOperator.from_primitive(_boson(species, m))
 
 
 @lru_cache(maxsize=None)
@@ -415,7 +462,7 @@ def fermion_mode(species: int, n: HalfInt) -> ModeOperator:
     n = HalfInt(n)
     if n.is_integer:
         raise ValueError(f"fermion mode index must be half-odd, got {n}")
-    return ModeOperator.from_primitive(_FermionMode(species, n.twice))
+    return ModeOperator.from_primitive(_fermion(species, n.twice))
 
 
 @lru_cache(maxsize=None)
@@ -440,13 +487,3 @@ def tail_sum(kind: Literal["J", "Phi"], species: int, m: HalfInt) -> ModeOperato
     if kind == "Phi" and m.is_integer:
         raise ValueError("fermion tail needs a half-odd base index")
     return ModeOperator.from_primitive(_TailSum(kind, species, m.twice))
-
-
-def circle_derivative_mode(base: Callable[[HalfInt], ModeOperator], n: HalfInt) -> ModeOperator:
-    """Mode n of the circle derivative A'(z) = i z d/dz A(z), i.e. -i*n*A_n."""
-    n = HalfInt(n)
-    return base(n).scale(GaussianRational(0, -1) * GaussianRational(n.as_fraction()))
-
-
-def scalar_operator(coeff) -> ModeOperator:
-    return ModeOperator.identity().scale(coeff)

@@ -86,7 +86,8 @@ def _relation_defect(a: ModeOperator, b: ModeOperator, rhs: list, central, table
     Returns (L, defect): defect(sid) maps state ids to the Gaussian-integer
     numerators [re, im] of the defect of state sid over the common
     denominator L.  Every term is added in Python ints straight from the
-    memoized integer columns; no intermediate vector is built.
+    memoized integer columns, read from the operators' memos and built
+    only on a miss; no intermediate vector is built.
     """
     sign = -1 if (a.parity and b.parity) else 1
     scalars = [GaussianRational.coerce(cf) * Fraction(-1, op.denom) for cf, op in rhs]
@@ -94,14 +95,21 @@ def _relation_defect(a: ModeOperator, b: ModeOperator, rhs: list, central, table
     denom = lcm(a.denom * b.denom, *(x.denominator for z in scalars for x in (z.re, z.im)))
     *rhs_num, (zr, zi) = [(int(z.re * denom), int(z.im * denom)) for z in scalars]
     ab = denom // (a.denom * b.denom)
-    products = ((b, a, ab), (a, b, -sign * ab))
+    memo_a, memo_b = a.memo(table), b.memo(table)
+    products = ((b, memo_b, a, memo_a, ab), (a, memo_a, b, memo_b, -sign * ab))
 
     def defect(sid: int) -> dict[int, list[int]]:
         acc: dict[int, list[int]] = {sid: [zr, zi]}
-        for first, second, k in products:
-            for t, r1, i1 in first.column(table, sid):
+        for first, first_memo, second, second_memo, k in products:
+            column = first_memo.get(sid)
+            if column is None:
+                column = first.column(table, sid)
+            for t, r1, i1 in column:
                 r1, i1 = k * r1, k * i1
-                for u, r2, i2 in second.column(table, t):
+                image = second_memo.get(t)
+                if image is None:
+                    image = second.column(table, t)
+                for u, r2, i2 in image:
                     entry = acc.setdefault(u, [0, 0])
                     entry[0] += r1 * r2 - i1 * i2
                     entry[1] += r1 * i2 + i1 * r2

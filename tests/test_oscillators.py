@@ -2,13 +2,18 @@ from fractions import Fraction
 
 import pytest
 
-from supervir.fock import FieldContent, FockState, FockVector, enumerate_basis
+from supervir import realizations
+from supervir.fock import FieldContent, FockState, FockVector, enumerate_basis, state_table
 from supervir.halfint import HalfInt, half, halfint_range
 from supervir.oscillators import (
     BilinearSpec,
+    _Bilinear,
+    _BosonMode,
+    _FermionMode,
+    _TailSum,
+    _bilinear_branches,
     bilinear_mode,
     boson_mode,
-    circle_derivative_mode,
     fermion_mode,
     tail_sum,
 )
@@ -204,18 +209,8 @@ def test_tail_stabilizes():
 
 
 # ---------------------------------------------------------------------------
-# circle derivative and weight shifts
+# weight shifts and parity
 # ---------------------------------------------------------------------------
-
-
-def test_circle_derivative():
-    base = lambda n: boson_mode(0, n.as_int())
-    assert circle_derivative_mode(base, half(0)).apply_state(FockState.vacuum(C11)).is_zero()
-    got = circle_derivative_mode(base, half(4))(J(-2)(OM))
-    assert got == OM.scale(GaussianRational(0, -4))
-    fbase = lambda n: fermion_mode(0, n)
-    got = circle_derivative_mode(fbase, half(-1))(OM)
-    assert got == F(-1)(OM).scale(GaussianRational(0, Fraction(1, 2)))
 
 
 def test_declared_weight_shifts():
@@ -239,3 +234,99 @@ def test_parity_declarations():
     assert (F(1) * F(-1)).parity == 0
     with pytest.raises(AssertionError):
         F(1) + J(1)
+
+
+# ---------------------------------------------------------------------------
+# the primitive layer against its unfiltered reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_branches(spec: BilinearSpec, k: int, w: int):
+    """Every branch (first, second, numerator) of mode k on twice-weight w,
+    with freshly built, not interned, primitives."""
+
+    def prim(kind, species, t):
+        return _BosonMode(species, t // 2) if kind == "J" else _FermionMode(species, t)
+
+    cutoff, coeff_of = {"J": (-2, lambda t: 1), "Phi": (-1, lambda t: 1), "dPhi": (-3, lambda t: -t - 1)}[spec.left_kind]
+    left_kind = "J" if spec.left_kind == "J" else "Phi"
+    koszul = -1 if spec.left_parity and spec.right_parity else 1
+    left = lambda a: prim(left_kind, spec.left_species, a)
+    right = lambda a: prim(spec.right_kind, spec.right_species, a)
+    branches = [(right(k - a), left(a), coeff_of(a)) for a in range(cutoff, k - w - 1, -2)]
+    branches += [(left(a), right(k - a), koszul * coeff_of(a)) for a in range(cutoff + 2, w + 1, 2)]
+    return [b for b in branches if b[2]]
+
+
+def _reference_act(prim, table, sid) -> dict[FockState, Fraction]:
+    """The unfiltered bilinear loop and the tail-sum loop, every branch
+    and every term acted out without memo or skip, as {state: coefficient}."""
+    acc: dict[int, int] = {}
+    if isinstance(prim, _Bilinear):
+        for first, second, factor in _reference_branches(prim.spec, prim.k_twice, table.twice[sid]):
+            for s1, c1 in first.act(table, sid):
+                for s2, c2 in second.act(table, s1):
+                    acc[s2] = acc.get(s2, 0) + c1 * c2 * factor
+    else:
+        for l in range(1, (table.twice[sid] - prim.m_twice) // 2 + 1):
+            t = prim.m_twice + 2 * l
+            term = _BosonMode(prim.species, t // 2) if prim.kind == "J" else _FermionMode(prim.species, t)
+            for s, c in term.act(table, sid):
+                acc[s] = acc.get(s, 0) + (-c if l % 2 else c)
+    return {table.states[s]: Fraction(c, prim.denominator) for s, c in acc.items() if c}
+
+
+_TABLE_SPECS = sorted({spec for rows in realizations._TABLE.values() for row in rows.values() for spec, _ in row[0]},
+                      key=repr)
+_CUTOFFS = {C11: half(10), C22: half(8)}
+
+
+def _assert_matches_reference(content, prims):
+    table = state_table(content)
+    ids = [table.id_of(s) for s in enumerate_basis(content, _CUTOFFS[content])]
+    for prim in prims:
+        for sid in ids:
+            got = {table.states[s]: Fraction(c, prim.denominator) for s, c in prim.act(table, sid)}
+            assert got == _reference_act(prim, table, sid), (prim, table.states[sid])
+
+
+def test_table_specs_cover_cross_species():
+    assert len(_TABLE_SPECS) == 9
+    assert any(s.left_species != s.right_species for s in _TABLE_SPECS)
+
+
+@pytest.mark.parametrize(
+    "content,spec",
+    [(c, spec) for spec in _TABLE_SPECS for c in (C11, C22) if max(spec.left_species, spec.right_species) < c.bosons],
+    ids=lambda x: f"{x.bosons}{x.fermions}" if isinstance(x, FieldContent)
+    else f"{x.left_kind}{x.left_species}-{x.right_kind}{x.right_species}",
+)
+def test_bilinears_match_unfiltered_reference(content, spec):
+    """Skipped branches and interned primitives change no column: every
+    bilinear of the realization table at |k| <= 4 acts on each state of
+    weight <= 5 (one species) or <= 4 (two species) as the unfiltered
+    loop does.  Columns are compared as {FockState: coefficient}, so
+    state ids do not enter."""
+    ks = halfint_range(half(-8), half(8), integer=spec.mode_is_integer)
+    _assert_matches_reference(content, [_Bilinear(spec, k.twice) for k in ks])
+
+
+@pytest.mark.parametrize("content", [C11, C22], ids=["11", "22"])
+def test_tails_match_unfiltered_reference(content):
+    """The J and Phi tails of every species at |m| <= 3, as above."""
+    _assert_matches_reference(content, [
+        _TailSum(kind, species, m.twice) for kind in ("J", "Phi") for species in range(content.bosons)
+        for m in halfint_range(half(-6), half(6), integer=kind == "J")])
+
+
+def test_branch_primitives_are_interned():
+    """A branch factor is the very primitive of the mode factory, so a memo
+    hit matches by identity."""
+    for spec in _TABLE_SPECS:
+        for first, second, _ in _bilinear_branches(spec, 1 if not spec.mode_is_integer else 0, 6):
+            for prim in (first, second):
+                if isinstance(prim, _BosonMode):
+                    op = boson_mode(prim.species, prim.m)
+                else:
+                    op = fermion_mode(prim.species, half(prim.n_twice))
+                assert op.terms[0][2][0] is prim

@@ -59,6 +59,41 @@ def test_relation_check_is_discriminating():
     assert lhs(vac) != wrong
 
 
+def test_cold_relation_checks_stay_within_their_primitive_lookups():
+    """A work-count guard, free of timing: in a fresh interpreter, one cold
+    check_relations at window 2, cutoff 3 may make at most 10 000
+    primitive memo lookups (_act_cached hits + misses) for ns/bs at
+    kappa = 1/2 and at most 120 000 for n2/unitary at (kappa, eta, omega)
+    = (1/2, 1, 1).  A relation kernel that looks up every bilinear branch,
+    annihilators of absent modes and J_0 included, makes 14 427 and
+    231 593; skipping those branches before the lookup gives 8 796 and
+    94 298."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import supervir
+
+    src = str(Path(supervir.__file__).resolve().parent.parent)
+    code = """
+from fractions import Fraction as F
+from supervir import oscillators
+from supervir.halfint import half
+from supervir.realizations import RealizationParams
+from supervir.verify import check_relations
+for p in (RealizationParams("ns", "bs", F(1, 2)), RealizationParams("n2", "unitary", F(1, 2), F(1), F(1))):
+    before = oscillators._act_cached.cache_info()
+    assert check_relations(p, 2, half(6)).passed
+    after = oscillators._act_cached.cache_info()
+    print(after.hits + after.misses - before.hits - before.misses)
+"""
+    done = subprocess.run([sys.executable, "-c", code], env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src},
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    ns_lookups, n2_lookups = map(int, done.stdout.split())
+    assert ns_lookups <= 10_000 and n2_lookups <= 120_000, (ns_lookups, n2_lookups)
+
+
 # ---------------------------------------------------------------------------
 # the diagonal pairing against its adjoint-reduction re-derivation
 # ---------------------------------------------------------------------------
