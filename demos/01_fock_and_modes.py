@@ -7,19 +7,9 @@ floating point is involved anywhere.
 
 from fractions import Fraction
 
-from supervir import (
-    BilinearSpec,
-    FieldContent,
-    FockVector,
-    bilinear_mode,
-    boson_mode,
-    enumerate_basis,
-    fermion_mode,
-    half,
-    inner_product,
-    state_norm_sq,
-    tail_sum,
-)
+from supervir.fock import FieldContent, FockVector, enumerate_basis, inner_product, state_norm_sq
+from supervir.halfint import half
+from supervir.oscillators import BilinearSpec, bilinear_mode, boson_mode, fermion_mode, tail_sum
 
 content = FieldContent(bosons=1, fermions=1)
 vacuum = FockVector.vacuum(content)

@@ -8,7 +8,8 @@ exact rationals; PASS means identically zero.
 
 from fractions import Fraction
 
-from supervir import RealizationParams, half
+from supervir.halfint import half
+from supervir.realizations import RealizationParams
 from supervir.verify import check_relations, measure_central_charge
 
 CASES = [

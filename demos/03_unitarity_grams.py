@@ -9,15 +9,9 @@ unitarity statements for these lowest-weight families.
 
 from fractions import Fraction
 
-from supervir import (
-    LowestWeightData,
-    RealizationParams,
-    abstract_gram,
-    discrete_series,
-    family_presentation,
-    half,
-    psd_check,
-)
+from supervir.halfint import half
+from supervir.realizations import RealizationParams
+from supervir.superalg import LowestWeightData, abstract_gram, discrete_series, family_presentation, psd_check
 from supervir.verify import gram_freefield, oracle_compare
 
 params = RealizationParams("ns", "bs", Fraction(1, 2))  # c = 9/2, h = 0

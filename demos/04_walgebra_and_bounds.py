@@ -9,16 +9,16 @@ anticommutator identity plus a floating-point operator-norm estimate.
 
 from fractions import Fraction
 
-from supervir import (
-    FieldContent,
-    RealizationParams,
+from supervir.fock import FieldContent
+from supervir.halfint import half
+from supervir.oscillators import fermion_mode
+from supervir.realizations import RealizationParams
+from supervir.walgebra import (
     borcherds_modes,
     central_charge,
     collapsing_levels,
     dual_coxeter,
-    fermion_mode,
     g_natural,
-    half,
     lambda_bracket,
     load_superalgebra,
     minimal_gradation,

@@ -27,14 +27,6 @@ from .oscillators import boson_mode, fermion_mode
 from .realizations import RealizationParams, make_mode
 from .scalars import format_rational, parse_rational
 from .superalg import discrete_series, family_presentation
-from .walgebra import (
-    central_charge_data,
-    collapsing_levels,
-    dual_coxeter,
-    load_superalgebra,
-    unitary_range,
-)
-from .ratfunc import RationalFunction
 from . import verify
 
 
@@ -183,6 +175,10 @@ _NAME_ALIASES = {
 
 
 def cmd_tables(args) -> int:
+    # the W-algebra side: loaded only by this command
+    from .ratfunc import RationalFunction
+    from .walgebra import central_charge_data, collapsing_levels, dual_coxeter, load_superalgebra, unitary_range
+
     if not (args.series or args.walgebra or args.identity):
         raise UsageError("tables needs at least one of --series, --walgebra, --identity")
     document = {"command": "tables", "params": {}, "version": __version__}

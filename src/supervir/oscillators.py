@@ -61,12 +61,14 @@ def _act_cached(prim: _Primitive, table: StateTable, sid: int):
     return prim.act(table, sid)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _BosonMode(_Primitive):
     species: int
     m: int
 
     parity = 0
+    __eq__ = object.__eq__  # interned by _boson: identity is equality
+    __hash__ = object.__hash__
 
     def __post_init__(self):
         # J_m with m >= 0 needs the mode m held; J_0 needs mode 0, never held
@@ -99,12 +101,14 @@ class _BosonMode(_Primitive):
         return ((table.id_of(FockState(bos, state.fermions)), coeff),)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _FermionMode(_Primitive):
     species: int
     n_twice: int  # odd
 
     parity = 1
+    __eq__ = object.__eq__  # interned by _fermion: identity is equality
+    __hash__ = object.__hash__
 
     def __post_init__(self):
         if self.n_twice > 0:
@@ -140,7 +144,7 @@ class _FermionMode(_Primitive):
 
 
 # One interned object per (species, index), so that memo hits on a
-# primitive match by identity.
+# primitive match by identity, and J_m and Phi_{t/2} never share a key.
 
 
 @lru_cache(maxsize=None)

@@ -168,6 +168,14 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"malformed rational {text!r}") from None
 
 
+def binom(x: Fraction, j: int) -> Fraction:
+    """Generalized binomial coefficient C(x, j) for rational x."""
+    out = Fraction(1)
+    for i in range(j):
+        out *= (x - i) / (i + 1)
+    return out
+
+
 def format_rational(value: Fraction) -> str:
     value = Fraction(value)
     return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)

@@ -17,7 +17,7 @@ from .fock import FockState, FockVector, StateTable, enumerate_basis, inner_prod
 from .halfint import HalfInt, half, halfint_range
 from .oscillators import ModeOperator
 from .realizations import RealizationParams, make_mode, realize_word
-from .scalars import ZERO, GaussianRational, format_rational
+from .scalars import ZERO, GaussianRational, binom, format_rational
 from .superalg import (
     GramMatrix,
     LowestWeightData,
@@ -25,7 +25,6 @@ from .superalg import (
     family_presentation,
     pbw_words,
 )
-from .walgebra import _binom
 
 
 def _gaussian(re: int, im: int, denom: int) -> GaussianRational:
@@ -474,7 +473,7 @@ def borcherds_consistency(
     ids = [table.id_of(s) for s in enumerate_basis(params.content, HalfInt(weight_cutoff))]
     k = m + n
     rhs_ops = [(alpha, make_mode(params, "L", k))] if k.is_integer else []
-    central = gamma * _binom(m.as_fraction() + Fraction(1, 2), 2) if k == 0 else ZERO
+    central = gamma * binom(m.as_fraction() + Fraction(1, 2), 2) if k == 0 else ZERO
     residual, witness = _relation_residual(g(m), g(n), rhs_ops, central, table, ids)
     report.entries.append(ResidualEntry("commutator", (m, n), residual, witness))
     return report

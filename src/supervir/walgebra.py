@@ -21,7 +21,7 @@ from typing import Optional, Union
 
 from .halfint import HalfInt
 from .ratfunc import RationalFunction
-from .scalars import parse_rational
+from .scalars import binom, parse_rational
 
 DATA_ENV_VAR = "SUPERVIR_ALGEBRA_DIR"
 _BUNDLED = {
@@ -598,14 +598,6 @@ def _coords_in_indices(g: LieSuperalgebra, v: Vec, indices: list[int]) -> dict[i
 # ---------------------------------------------------------------------------
 
 
-def _binom(x: Fraction, j: int) -> Fraction:
-    """Generalized binomial coefficient C(x, j) for rational x."""
-    out = Fraction(1)
-    for i in range(j):
-        out *= (x - i) / (i + 1)
-    return out
-
-
 @dataclass
 class ModeCombination:
     """Symbolic combination of generator modes plus a central scalar."""
@@ -650,7 +642,7 @@ def borcherds_modes(a_weight: HalfInt, lp: LambdaPolynomial, p: HalfInt, q: Half
     out = ModeCombination()
     x = p.as_fraction() + HalfInt(a_weight).as_fraction() - 1
     for j, element in sorted(lp.items()):
-        weight = _binom(x, j) * factorial(j)
+        weight = binom(x, j) * factorial(j)
         if weight == 0:
             continue
         for sym, coeff in element.items():

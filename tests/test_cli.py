@@ -168,14 +168,11 @@ def test_reports_deterministic_across_processes(tmp_path):
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("module,absent", [("supervir.verify", ("numpy", "scipy")), ("supervir.cli", ("numpy", "scipy")),
-                                           ("supervir.superalg", ("numpy", "scipy")),
-                                           ("supervir.realizations", ("numpy", "scipy"))])
-def test_imports_stay_light(module, absent):
-    """The exact engine needs neither numpy nor scipy; importing either
-    would dominate the start-up time of a check.  Only the CLI's bounds
-    command needs numpy, and it imports it when it runs, so importing the
-    CLI loads neither; nothing needs scipy."""
+_TABLES_AND_BOUNDS = ("supervir.walgebra", "supervir.ratfunc", "supervir.bounds")
+
+
+def _loaded_after(code, absent):
+    """Those of `absent` that a fresh interpreter has loaded after running `code`."""
     import subprocess
     import sys
     from pathlib import Path
@@ -183,8 +180,36 @@ def test_imports_stay_light(module, absent):
     import supervir
 
     src = str(Path(supervir.__file__).resolve().parent.parent)
-    code = f"import sys, {module}; print(' '.join(m for m in {absent!r} if m in sys.modules))"
+    code += f"\nimport sys; print(' '.join(m for m in {absent!r} if m in sys.modules))"
     done = subprocess.run([sys.executable, "-c", code], env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src},
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == []
+    return done.stdout.split()
+
+
+@pytest.mark.parametrize("module,absent", [
+    ("supervir.verify", ("numpy", "scipy", *_TABLES_AND_BOUNDS)),
+    ("supervir.cli", ("numpy", "scipy", *_TABLES_AND_BOUNDS)),
+    ("supervir.superalg", ("numpy", "scipy", "supervir.fock", "supervir.oscillators", "supervir.realizations",
+                           "supervir.verify", "supervir.cli", *_TABLES_AND_BOUNDS)),
+    ("supervir.realizations", ("numpy", "scipy")),
+    ("supervir", ("supervir.halfint", "supervir.scalars", "supervir.superalg", "supervir.fock",
+                  "supervir.oscillators", "supervir.realizations", "supervir.verify", "supervir.cli",
+                  *_TABLES_AND_BOUNDS)),
+])
+def test_imports_stay_light(module, absent):
+    """Each entry point loads only the modules it runs.  The exact engine
+    needs neither numpy nor scipy; only the CLI's bounds command needs
+    numpy, and it imports it when it runs.  The package root imports no
+    submodule; the super-Virasoro presentations load no Fock layer; the
+    checking engine and the CLI load neither the W-algebra side
+    (walgebra, ratfunc) nor bounds, which only the CLI's tables and
+    bounds commands import when they run."""
+    assert _loaded_after(f"import {module}", absent) == []
+
+
+def test_check_run_stays_light():
+    """A whole `check` run loads neither the W-algebra side, nor bounds, nor numpy."""
+    argv = ["check", "--family", "ns", "--variant", "bs", "--kappa", "1/2", "--window", "1", "--cutoff", "1"]
+    code = f"import os, supervir.cli; assert supervir.cli.main({argv!r} + ['--output', os.devnull]) == 0"
+    assert _loaded_after(code, ("numpy", *_TABLES_AND_BOUNDS)) == []

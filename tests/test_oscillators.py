@@ -12,6 +12,8 @@ from supervir.oscillators import (
     _FermionMode,
     _TailSum,
     _bilinear_branches,
+    _boson,
+    _fermion,
     bilinear_mode,
     boson_mode,
     fermion_mode,
@@ -330,3 +332,13 @@ def test_branch_primitives_are_interned():
                 else:
                     op = fermion_mode(prim.species, half(prim.n_twice))
                 assert op.terms[0][2][0] is prim
+
+
+def test_interned_current_and_fermion_modes_hash_apart():
+    """J_m and Phi_{t/2} with m == t on the same species are different
+    memo keys: they neither hash nor compare equal."""
+    for species in range(2):
+        for index in (-3, -1, 1, 3):
+            j, phi = _boson(species, index), _fermion(species, index)
+            assert hash(j) != hash(phi) and j != phi
+            assert _boson(species, index) is j and _fermion(species, index) is phi

@@ -1,7 +1,10 @@
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from supervir import walgebra
 from supervir.halfint import half
 from supervir.ratfunc import RationalFunction
 from supervir.walgebra import (
@@ -404,3 +407,19 @@ def test_gram_serialization():
     import json
 
     json.dumps(doc)  # round-trips through the report format
+
+
+def test_bundled_structure_data_regenerates_byte_for_byte(tmp_path):
+    """tools/gen_structure_data.py rebuilds every bundled .alg file from
+    supermatrices, byte for byte."""
+    tool = Path(__file__).parent.parent / "tools" / "gen_structure_data.py"
+    spec = importlib.util.spec_from_file_location("gen_structure_data", tool)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    gen.OUT_DIR = tmp_path
+    gen.main()
+    bundled = Path(walgebra.__file__).parent / "data"
+    names = sorted(p.name for p in bundled.glob("*.alg"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == names and len(names) == 5
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (bundled / name).read_bytes(), name
