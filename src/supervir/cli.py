@@ -71,6 +71,8 @@ def cmd_check(args) -> int:
     if cutoff < 0:
         raise UsageError("--cutoff must be nonnegative")
     levels = _parse_halfint(args.levels) if args.levels else half(min(cutoff.twice, 6 if params.family == "ns" else 4))
+    if levels < 0:
+        raise UsageError("--levels must be nonnegative")
 
     reports = [
         verify.fock_pairing_crosscheck(params.content, cutoff),
@@ -181,6 +183,8 @@ def cmd_tables(args) -> int:
 
     if not (args.series or args.walgebra or args.identity):
         raise UsageError("tables needs at least one of --series, --walgebra, --identity")
+    if args.p_max < 3:
+        raise UsageError("--p-max must be at least 3, where the series table starts")
     document = {"command": "tables", "params": {}, "version": __version__}
     if args.series:
         if args.series not in _SERIES_CLOSED_FORMS:

@@ -40,10 +40,6 @@ class HalfInt:
     def is_integer(self) -> bool:
         return self.twice % 2 == 0
 
-    @property
-    def is_half_odd(self) -> bool:
-        return self.twice % 2 != 0
-
     # -- conversions -----------------------------------------------------
 
     def as_fraction(self) -> Fraction:

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .fock import FieldContent, FockVector
-from .halfint import HalfInt, half
+from .halfint import HalfInt
 from .oscillators import (
     BilinearSpec,
     ModeOperator,
@@ -38,8 +38,8 @@ from .oscillators import (
     fermion_mode,
     tail_sum,
 )
-from .scalars import GaussianRational, format_rational, parse_rational
-from .superalg import family_presentation, pbw_words
+from .scalars import GaussianRational, format_rational
+from .superalg import family_presentation
 
 FAMILIES = ("ns", "n2")
 VARIANTS = ("tilde", "bs", "unitary")
@@ -106,20 +106,6 @@ class RealizationParams:
             if self.family == "n2":
                 cfg["omega"] = format_rational(self.omega)
         return cfg
-
-    @staticmethod
-    def from_config(cfg: dict) -> "RealizationParams":
-        known = {"family", "variant", "kappa", "eta", "omega"}
-        unknown = set(cfg) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return RealizationParams(
-            family=cfg.get("family", "ns"),
-            variant=cfg.get("variant", "unitary"),
-            kappa=parse_rational(str(cfg.get("kappa", "0"))),
-            eta=parse_rational(str(cfg.get("eta", "0"))),
-            omega=parse_rational(str(cfg.get("omega", "0"))),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -212,31 +198,3 @@ def realize_word(params: RealizationParams, word: Word) -> FockVector:
     for role, index in reversed(word):
         vec = make_mode(params, role, index)(vec)
     return vec
-
-
-def cyclic_words(params: RealizationParams, max_level: HalfInt) -> list[tuple[Word, FockVector]]:
-    """PBW-ordered words in negative generator modes with weight <= max_level.
-
-    Words are paired with the vector they produce from the vacuum.  When
-    the cyclic vector is vacuum-like, words ending in L_{-1} or G_{-1/2}
-    are discarded; that they indeed annihilate the vacuum is checked
-    here rather than assumed.
-    """
-    max_level = HalfInt(max_level)
-    if max_level < 0:
-        raise ValueError("max_level must be nonnegative")
-    pres = family_presentation(params.family)
-    vacuum_like = params.is_vacuum_like()
-    if vacuum_like:
-        vac = FockVector.vacuum(params.content)
-        for role in params.roles():
-            index = half(-2) if pres.integer_moded(role) else half(-1)
-            if role == "J":
-                continue  # J_{-1} does not annihilate the vacuum
-            if not make_mode(params, role, index)(vac).is_zero():
-                raise AssertionError(f"{role}_{index} was expected to annihilate the vacuum")
-    out: list[tuple[Word, FockVector]] = []
-    for twice_level in range(0, max_level.twice + 1):
-        for word in pbw_words(pres, half(twice_level), drop_vacuum_annihilators=vacuum_like):
-            out.append((word, realize_word(params, word)))
-    return out

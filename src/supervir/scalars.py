@@ -117,9 +117,6 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def real_part(self) -> Fraction:
         """The real part, insisting the value is actually real."""
         if self.im != 0:

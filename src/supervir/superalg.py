@@ -97,9 +97,11 @@ class Presentation:
         """Make the memos those of `lw` and the current bracket.
 
         On a new binding the old tables are dropped and D becomes
-        lcm(4, 12 den c, den h, den q): for the three built-in brackets,
-        D times a bracket coefficient (halved for an odd square), D^2
-        times a central term, and D times h or q are Gaussian integers.
+        lcm(4, 12 den c, den h, den q): for the four built-in tables
+        (three algebras and the free field), D times a bracket
+        coefficient (halved for an odd square), D^2 times a central term,
+        and D times h or q are Gaussian integers.  The free field is bound
+        at c = 0, where D = 12 clears its central terms m D^2 and D^2.
         """
         bracket = self.bracket
         if (lw is self._memo_lw or lw == self._memo_lw) and bracket == self._memo_bracket:
@@ -216,6 +218,24 @@ def presentation_ns() -> Presentation:
 
 def presentation_n2() -> Presentation:
     return _N2
+
+
+def free_field_presentation(bosons: int, fermions: int) -> Presentation:
+    """The free modes of `bosons` boson and `fermions` fermion species.
+
+    Even families J<s> are integer-moded with [J_m, J_n] = m delta(m, -n),
+    odd families F<s> half-odd-moded with {F_m, F_n} = delta(m, -n), and
+    every other ordered pair (anti)commutes.  Built fresh on each call, so
+    its memos are dropped with it.
+    """
+    families = tuple(GeneratorFamily(f"J{s}", 0, True) for s in range(bosons))
+    families += tuple(GeneratorFamily(f"F{s}", 1, False) for s in range(fermions))
+    rows = {(a.name, b.name): (None, None, None) for a in families for b in families}
+    for s in range(bosons):
+        rows[f"J{s}", f"J{s}"] = (None, None, lambda c, m: m)
+    for s in range(fermions):
+        rows[f"F{s}", f"F{s}"] = (None, None, lambda c, m: 1)
+    return Presentation("free", families, rows)
 
 
 def family_presentation(family: str) -> Presentation:

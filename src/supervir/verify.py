@@ -23,7 +23,9 @@ from .superalg import (
     LowestWeightData,
     abstract_gram,
     family_presentation,
+    free_field_presentation,
     pbw_words,
+    vacuum_expectation,
 )
 
 
@@ -153,52 +155,22 @@ def lowest_weight_data(params: RealizationParams) -> LowestWeightData:
 # ---------------------------------------------------------------------------
 
 
-def _free_pairing(left: tuple, right: tuple) -> Fraction:
-    """<left.vac, right.vac> for creation words in the free modes, reduced
-    with [J_m, J_n] = m d(m,-n), {Phi_m, Phi_n} = d(m,-n) and the adjoint
-    rule only -- no appeal to the diagonal basis formula.
-
-    Words are tuples of ("J"|"Phi", species, twice_index), indices
-    negative (creation operators).
-    """
-
-    def reduce(seq: tuple) -> Fraction:
-        # seq acts on the vacuum, rightmost first; return the vacuum coefficient
-        if not seq:
-            return Fraction(1)
-        kind, species, t = seq[-1]
-        if t >= 0:
-            return Fraction(0)
-        # the rightmost creation operator must pair off against an
-        # annihilator further left; walk it leftward
-        total = Fraction(0)
-        sign = 1
-        for pos in range(len(seq) - 2, -1, -1):
-            k2, s2, t2 = seq[pos]
-            if k2 == kind and s2 == species and t2 == -t:
-                contraction = Fraction(t2, 2) if kind == "J" else Fraction(1)
-                rest = seq[:pos] + seq[pos + 1 : -1]
-                total += sign * contraction * reduce(rest)
-            if k2 == "Phi" and kind == "Phi":
-                sign = -sign
-        return total
-
-    adjoint = tuple((kind, species, -t) for kind, species, t in reversed(left))
-    return reduce(adjoint + right)
-
-
 def fock_pairing_crosscheck(content, max_weight: HalfInt) -> CheckReport:
     """Re-derive the diagonal inner product by adjoint reduction.
 
-    Every basis state is written as its creation word; all pairings of
-    words up to the cutoff are computed purely from the commutation
-    relations and compared against the diagonal Fock pairing.
+    Every basis state is written as its PBW word in the free modes; all
+    pairings of words up to the cutoff, also of different weight, are
+    reduced with the free-field bracket table alone and compared against
+    the diagonal Fock pairing.
     """
     max_weight = HalfInt(max_weight)
     basis = enumerate_basis(content, max_weight)
+    pres = free_field_presentation(content.bosons, content.fermions)
+    point = LowestWeightData(c=Fraction(0))
+    # a state's modes are stored in PBW order, so it is its word as is
     words = [
-        tuple(("J", species, -2 * m) for species, modes in enumerate(state.bosons) for m in modes)
-        + tuple(("Phi", species, -t) for species, modes in enumerate(state.fermions) for t in modes)
+        tuple((f"J{species}", half(-2 * m)) for species, modes in enumerate(state.bosons) for m in modes)
+        + tuple((f"F{species}", half(-t)) for species, modes in enumerate(state.fermions) for t in modes)
         for state in basis
     ]
 
@@ -208,10 +180,9 @@ def fock_pairing_crosscheck(content, max_weight: HalfInt) -> CheckReport:
     for s, word_s in zip(basis, words):
         for t, word_t in zip(basis, words):
             direct = state_norm_sq(s) if s == t else 0
-            reduced = _free_pairing(word_s, word_t)
-            diff = (direct - reduced) ** 2
-            if diff:
-                residual += diff
+            reduced = vacuum_expectation(word_s, word_t, point, pres)
+            if reduced != direct:
+                residual += (reduced - direct).norm_sq()
                 if witness is None:
                     witness = f"{s!r} | {t!r}: diagonal={direct} reduced={reduced}"
     report.entries.append(ResidualEntry("pairing", (), residual, witness))

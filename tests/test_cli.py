@@ -56,6 +56,12 @@ def test_negative_cutoff_is_usage_error(capsys):
     assert code == 2
 
 
+def test_negative_levels_is_usage_error(capsys):
+    code, out, err = run(["check", "--family", "ns", "--levels", "-1"], capsys)
+    assert code == 2
+    assert out == "" and "--levels" in err
+
+
 def test_failed_check_exits_1(monkeypatch, capsys):
     """A wrong structure constant is a failed check, reported with exit 1."""
     pres = family_presentation("ns")
@@ -97,6 +103,12 @@ def test_tables_series(capsys):
     rows = {r["p"]: r["c"] for r in doc["series"]["rows"]}
     assert rows == {3: "1/2", 4: "7/10", 5: "4/5"}
     assert all(r["matches_closed_form"] for r in doc["series"]["rows"])
+
+
+def test_tables_series_below_its_start_is_usage_error(capsys):
+    code, out, err = run(["tables", "--series", "vir", "--p-max", "2"], capsys)
+    assert code == 2
+    assert out == "" and "--p-max" in err
 
 
 def test_tables_walgebra(capsys):

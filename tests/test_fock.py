@@ -126,7 +126,7 @@ def test_vector_space_axioms(a, b):
 
 
 def test_halfint_basics():
-    assert half(3).is_half_odd and half(4).is_integer
+    assert not half(3).is_integer and half(4).is_integer
     assert half(3) + half(1) == 2
     assert -half(5) == half(-5)
     assert half(3).as_fraction() == Fraction(3, 2)

@@ -12,8 +12,9 @@ from supervir.oscillators import (
     fermion_mode,
     tail_sum,
 )
-from supervir.realizations import RealizationParams, cyclic_words, make_mode, realize_word
+from supervir.realizations import RealizationParams, make_mode, realize_word
 from supervir.scalars import GaussianRational
+from supervir.superalg import family_presentation, pbw_words
 
 I = GaussianRational(0, 1)
 
@@ -47,15 +48,6 @@ def test_derived_quantities():
     assert p.charge() == 1
     assert not p.is_vacuum_like()
     assert params("n2", "bs", Fraction(1, 2)).is_vacuum_like()
-
-
-def test_config_roundtrip():
-    for p in [params("ns", "bs", Fraction(1, 3)), params("n2", "unitary", Fraction(1, 2), 1, 1)]:
-        assert RealizationParams.from_config(p.to_config()) == p
-    with pytest.raises(ValueError):
-        RealizationParams.from_config({"family": "ns", "variant": "bs", "kappa": "1/2", "bogus": "1"})
-    with pytest.raises(ValueError):
-        RealizationParams.from_config({"family": "ns", "variant": "bs", "kappa": "1/0"})
 
 
 def test_lowest_weight_examples():
@@ -173,29 +165,24 @@ def test_n2_pairs_satisfy_ns_relations():
                         assert got == want, (gname, f1, n1, f2, n2, s)
 
 
-def test_cyclic_words_examples():
-    p = params("ns", "unitary")
-    words = cyclic_words(p, half(3))
-    assert words[0][0] == () and words[0][1] == FockVector.vacuum(p.content)
-    level32 = [(w, v) for w, v in words if sum(-i.twice for _, i in w) == 3]
-    assert len(level32) == 1
-    word, vec = level32[0]
-    assert word == (("G", half(-3)),)
-    expected = boson_mode(0, -1)(fermion_mode(0, half(-1))(FockVector.vacuum(p.content)))
-    assert vec == expected
-    # non-vacuum-like cyclic vectors keep the L_{-1}/G_{-1/2} words
-    q = params("ns", "unitary", Fraction(1, 2), Fraction(1, 2))
-    words_q = cyclic_words(q, half(1))
-    assert (("G", half(-1)),) in [w for w, _ in words_q]
-    assert (("G", half(-1)),) not in [w for w, _ in words]
-
-
 def test_realize_word_matches_mode_application():
     p = params("ns", "bs", Fraction(1, 2))
     word = (("L", half(-4)), ("G", half(-3)))
     vec = realize_word(p, word)
     direct = make_mode(p, "L", half(-4))(make_mode(p, "G", half(-3))(FockVector.vacuum(p.content)))
     assert vec == direct
+    # the PBW words of a vacuum-like cyclic vector: the empty word is the
+    # vacuum, G_{-3/2} alone spans level 3/2 and realizes as J_{-1} Phi_{-1/2}
+    p, ns = params("ns", "unitary"), family_presentation("ns")
+    vac = FockVector.vacuum(p.content)
+    assert realize_word(p, ()) == vac
+    assert pbw_words(ns, half(3), drop_vacuum_annihilators=True) == [(("G", half(-3)),)]
+    assert realize_word(p, (("G", half(-3)),)) == boson_mode(0, -1)(fermion_mode(0, half(-1))(vac))
+    # the words dropped there do vanish: L_{-1} and G_{-1/2} kill the vacuum
+    assert make_mode(p, "L", half(-2))(vac).is_zero() and make_mode(p, "G", half(-1))(vac).is_zero()
+    # a non-vacuum-like cyclic vector keeps the G_{-1/2} word
+    assert (("G", half(-1)),) in pbw_words(ns, half(1), drop_vacuum_annihilators=False)
+    assert (("G", half(-1)),) not in pbw_words(ns, half(1), drop_vacuum_annihilators=True)
 
 
 # ---------------------------------------------------------------------------

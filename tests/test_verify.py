@@ -108,15 +108,62 @@ def test_fock_pairing_crosscheck():
 
 def test_fock_pairing_crosscheck_is_discriminating():
     """The reducer really recomputes norms: a wrong diagonal would be caught."""
-    from supervir.fock import FieldContent, FockState
-    from supervir.verify import _free_pairing
+    from supervir.superalg import LowestWeightData, free_field_presentation, vacuum_expectation
 
-    word = (("J", 0, -2), ("J", 0, -2))  # J_{-1}^2: norm 2, not 1
-    assert _free_pairing(word, word) == 2
-    word = (("Phi", 0, -3), ("Phi", 0, -1))
-    assert _free_pairing(word, word) == 1
-    crossed = (("Phi", 0, -1), ("Phi", 0, -3))  # anti-ordered word: sign flips
-    assert _free_pairing(word, crossed) == -1
+    pres = free_field_presentation(1, 1)
+    point = LowestWeightData(c=Fraction(0))
+    word = (("J0", half(-2)), ("J0", half(-2)))  # J_{-1}^2: norm 2, not 1
+    assert vacuum_expectation(word, word, point, pres) == 2
+    word = (("F0", half(-3)), ("F0", half(-1)))
+    assert vacuum_expectation(word, word, point, pres) == 1
+    crossed = (("F0", half(-1)), ("F0", half(-3)))  # anti-ordered word: sign flips
+    assert vacuum_expectation(word, crossed, point, pres) == -1
+
+
+def test_fock_pairing_crosscheck_fails_on_a_wrong_central_term(monkeypatch):
+    """Doubling the J0-J0 central term of the free-field table fails the
+    crosscheck, and the witness names the first violating pair."""
+    from supervir import verify
+    from supervir.fock import FieldContent
+
+    build = verify.free_field_presentation
+
+    def doubled(bosons, fermions):
+        pres = build(bosons, fermions)
+        bracket = pres.bracket
+
+        def perturbed(f1, n1, f2, n2, c):
+            terms, central = bracket(f1, n1, f2, n2, c)
+            return terms, (2 * central if (f1, f2) == ("J0", "J0") else central)
+
+        pres.bracket = perturbed
+        return pres
+
+    monkeypatch.setattr(verify, "free_field_presentation", doubled)
+    report = fock_pairing_crosscheck(FieldContent(1, 1), half(2))
+    assert not report.passed
+    [entry] = report.entries
+    assert entry.residual == 1
+    assert entry.detail == "|J0[-1]> | |J0[-1]>: diagonal=1 reduced=2"
+
+
+@pytest.mark.parametrize("content,states", [((1, 1), 17), ((2, 2), 69)])
+def test_fock_pairing_crosscheck_reduces_every_pair(monkeypatch, content, states):
+    """Work-count guard: every basis x basis pair goes through the reduction,
+    also the pairs of different weight."""
+    from supervir import verify
+    from supervir.fock import FieldContent
+
+    calls = []
+    expectation = verify.vacuum_expectation
+
+    def counted(*args):
+        calls.append(args)
+        return expectation(*args)
+
+    monkeypatch.setattr(verify, "vacuum_expectation", counted)
+    assert fock_pairing_crosscheck(FieldContent(*content), half(6)).passed
+    assert len(calls) == states * states
 
 
 # ---------------------------------------------------------------------------
