@@ -10,40 +10,39 @@ together with a normalized vacuum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .halfint import HalfInt, half
 from .scalars import GaussianRational
 
 
-@dataclass(frozen=True)
-class FieldContent:
+class FieldContent(NamedTuple("FieldContent", [("bosons", int), ("fermions", int)])):
     """How many boson and fermion species span the space."""
 
-    bosons: int
-    fermions: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.bosons < 0 or self.fermions < 0:
+    def __new__(cls, bosons: int, fermions: int):
+        if bosons < 0 or fermions < 0:
             raise ValueError("species counts must be nonnegative")
+        return super().__new__(cls, bosons, fermions)
 
 
 class ContentMismatch(ValueError):
     """Raised when vectors over different field contents are combined."""
 
 
-@dataclass(frozen=True)
-class FockState:
+class FockState(NamedTuple):
     """A basis monomial of creation modes applied to the vacuum.
 
     bosons: per species, the created modes as a descending tuple of
         positive ints (multiset, repeats allowed).
     fermions: per species, strictly descending tuple of positive
         half-odd mode values, stored as odd `twice` integers.
+
+    A state is a tuple: it hashes and compares as its two fields.
     """
 
     bosons: tuple[tuple[int, ...], ...]

@@ -24,11 +24,10 @@ slot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Callable, Literal, Optional
+from typing import Callable, Literal, NamedTuple, Optional
 
 from .fock import FockState, FockVector, StateTable, state_table
 from .halfint import HalfInt, half
@@ -40,17 +39,33 @@ from .scalars import GaussianRational
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class _Primitive:
     """One primitive action, with a parity and a weight_shift.  `act` maps
     the state with id `sid` of a state table to its integer column
     ((id, numerator), ...); the coefficients are numerator / denominator.
 
     `need` is None, or (0 for bosons | 1 for fermions, species, index)
-    of a mode that a state must hold for the action not to vanish."""
+    of a mode that a state must hold for the action not to vanish.
 
+    A primitive is immutable and compares by identity: the factories
+    below make one object per mode, so a memo hit on a primitive is a
+    pointer compare.  Its fields are the names in `_fields`."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
     denominator = 1
     need = None
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
     def act(self, table: StateTable, sid: int) -> tuple[tuple[int, int], ...]:
         raise NotImplementedError
@@ -61,19 +76,15 @@ def _act_cached(prim: _Primitive, table: StateTable, sid: int):
     return prim.act(table, sid)
 
 
-@dataclass(frozen=True, eq=False)
 class _BosonMode(_Primitive):
-    species: int
-    m: int
-
+    __slots__ = ("species", "m", "need")
+    _fields = ("species", "m")
     parity = 0
-    __eq__ = object.__eq__  # interned by _boson: identity is equality
-    __hash__ = object.__hash__
 
-    def __post_init__(self):
+    def __init__(self, species: int, m: int):
+        super().__init__(species, m)
         # J_m with m >= 0 needs the mode m held; J_0 needs mode 0, never held
-        if self.m >= 0:
-            object.__setattr__(self, "need", (0, self.species, self.m))
+        object.__setattr__(self, "need", (0, species, m) if m >= 0 else None)
 
     @property
     def weight_shift(self) -> HalfInt:
@@ -101,18 +112,14 @@ class _BosonMode(_Primitive):
         return ((table.id_of(FockState(bos, state.fermions)), coeff),)
 
 
-@dataclass(frozen=True, eq=False)
 class _FermionMode(_Primitive):
-    species: int
-    n_twice: int  # odd
-
+    __slots__ = ("species", "n_twice", "need")  # n_twice odd
+    _fields = ("species", "n_twice")
     parity = 1
-    __eq__ = object.__eq__  # interned by _fermion: identity is equality
-    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        if self.n_twice > 0:
-            object.__setattr__(self, "need", (1, self.species, self.n_twice))
+    def __init__(self, species: int, n_twice: int):
+        super().__init__(species, n_twice)
+        object.__setattr__(self, "need", (1, species, n_twice) if n_twice > 0 else None)
 
     @property
     def weight_shift(self) -> HalfInt:
@@ -160,23 +167,21 @@ def _fermion(species: int, n_twice: int) -> _FermionMode:
 FactorKind = Literal["J", "Phi", "dPhi"]
 
 
-@dataclass(frozen=True)
-class BilinearSpec:
+class BilinearSpec(NamedTuple("BilinearSpec", [("left_kind", FactorKind), ("left_species", int),
+                                                ("right_kind", Literal["J", "Phi"]), ("right_species", int)])):
     """The two factors of a shifted normal power, left one first.
 
     left_kind "dPhi" is the reweighted derivative factor of :dPhi Phi:.
     The four supported shapes are (J,J), (dPhi,Phi), (J,Phi), (Phi,Phi).
     """
 
-    left_kind: FactorKind
-    left_species: int
-    right_kind: Literal["J", "Phi"]
-    right_species: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        shape = (self.left_kind, self.right_kind)
+    def __new__(cls, left_kind, left_species, right_kind, right_species):
+        shape = (left_kind, right_kind)
         if shape not in {("J", "J"), ("dPhi", "Phi"), ("J", "Phi"), ("Phi", "Phi")}:
             raise ValueError(f"unsupported bilinear shape {shape}")
+        return super().__new__(cls, left_kind, left_species, right_kind, right_species)
 
     @property
     def left_parity(self) -> int:
@@ -218,10 +223,8 @@ def _nonzero(acc: dict[int, int]) -> tuple[tuple[int, int], ...]:
     return tuple((s, c) for s, c in acc.items() if c)
 
 
-@dataclass(frozen=True)
 class _Bilinear(_Primitive):
-    spec: BilinearSpec
-    k_twice: int
+    __slots__ = _fields = ("spec", "k_twice")
 
     @property
     def denominator(self) -> int:
@@ -263,11 +266,8 @@ def _bilinear_branches(spec: BilinearSpec, k: int, w: int) -> tuple[tuple[_Primi
     return tuple(b for b in branches if b[2])
 
 
-@dataclass(frozen=True)
 class _TailSum(_Primitive):
-    kind: Literal["J", "Phi"]
-    species: int
-    m_twice: int
+    __slots__ = _fields = ("kind", "species", "m_twice")
 
     @property
     def parity(self) -> int:

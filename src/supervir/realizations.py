@@ -24,9 +24,9 @@ relation checker in `verify` pins this scale (and all signs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .fock import FieldContent, FockVector
 from .halfint import HalfInt
@@ -47,23 +47,21 @@ VARIANTS = ("tilde", "bs", "unitary")
 _I = GaussianRational(0, 1)
 
 
-@dataclass(frozen=True)
-class RealizationParams:
-    family: str
-    variant: str
-    kappa: Fraction = Fraction(0)
-    eta: Fraction = Fraction(0)
-    omega: Fraction = Fraction(0)
+class RealizationParams(NamedTuple("RealizationParams", [("family", str), ("variant", str), ("kappa", Fraction),
+                                                          ("eta", Fraction), ("omega", Fraction)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.variant != "unitary" and (self.eta or self.omega):
+    def __new__(cls, family: str, variant: str, kappa: Fraction = Fraction(0), eta: Fraction = Fraction(0),
+                omega: Fraction = Fraction(0)):
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}")
+        if variant != "unitary" and (eta or omega):
             raise ValueError("eta/omega only parameterize the unitary variant")
-        if self.family == "ns" and self.omega:
+        if family == "ns" and omega:
             raise ValueError("omega only parameterizes the n2 family")
+        return super().__new__(cls, family, variant, kappa, eta, omega)
 
     # -- derived data -----------------------------------------------------
 

@@ -10,10 +10,9 @@ elimination over Z[i].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .halfint import HalfInt, half
 from .scalars import ONE, ZERO, GaussianRational
@@ -26,26 +25,24 @@ _I = GaussianRational(0, 1)
 Word = tuple[tuple[str, HalfInt], ...]
 
 
-@dataclass(frozen=True)
-class GeneratorFamily:
+class GeneratorFamily(NamedTuple):
     name: str
     parity: int  # 0 even, 1 odd
     integer_moded: bool
 
 
-@dataclass(frozen=True)
-class LowestWeightData:
+class LowestWeightData(NamedTuple("LowestWeightData", [("c", Fraction), ("h", Fraction), ("q", Optional[Fraction]),
+                                                        ("vacuum_flag", bool)])):
     """Central charge, lowest weight, optional charge, and whether the
     cyclic vector is also killed by L_{-1} and the G_{-1/2} modes."""
 
-    c: Fraction
-    h: Fraction = Fraction(0)
-    q: Optional[Fraction] = None
-    vacuum_flag: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.vacuum_flag and (self.h != 0 or (self.q or 0) != 0):
+    def __new__(cls, c: Fraction, h: Fraction = Fraction(0), q: Optional[Fraction] = None,
+                vacuum_flag: bool = False):
+        if vacuum_flag and (h != 0 or (q or 0) != 0):
             raise ValueError("vacuum_flag requires h = 0 (and q = 0)")
+        return super().__new__(cls, c, h, q, vacuum_flag)
 
 
 class Presentation:
@@ -275,12 +272,11 @@ def _on_vacuum(pres: Presentation, g: int) -> dict:
         return {}
     if twice < 0:
         return {(g,): (1, 0)}
-    if fam == "L":
-        value = lw.h
-    elif fam == "J":
-        value = lw.q or 0
-    else:
+    if pres._gen_parity[g]:
         raise ValueError(f"odd family {fam} has no zero mode")
+    # the zero modes L_0 and J_0 read h and q; every other even zero mode
+    # (a free boson's J<s>_0) kills the cyclic vector
+    value = lw.h if fam == "L" else (lw.q or 0) if fam == "J" else 0
     if not value:
         return {}
     return {(): _as_gaussian_integer(Fraction(value) * pres._denominator)}
@@ -483,8 +479,7 @@ def pbw_words(pres: Presentation, level: HalfInt, *, drop_vacuum_annihilators: b
     return words
 
 
-@dataclass
-class GramMatrix:
+class GramMatrix(NamedTuple):
     level: HalfInt
     words: list[Word]
     entries: list[list[GaussianRational]]
@@ -523,8 +518,7 @@ def abstract_gram(pres: Presentation, lw: LowestWeightData, level: HalfInt) -> G
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PsdResult:
+class PsdResult(NamedTuple):
     psd: bool
     pivots: list[Fraction]
     witness: Optional[list[GaussianRational]] = None

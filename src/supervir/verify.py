@@ -8,7 +8,6 @@ residuals are identically zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Optional
@@ -33,26 +32,49 @@ def _gaussian(re: int, im: int, denom: int) -> GaussianRational:
     return GaussianRational(Fraction(re, denom), Fraction(im, denom))
 
 
-@dataclass
-class ResidualEntry:
+class _Record:
+    """A mutable record over its __slots__: equal when every field is,
+    unhashable, with the repr NAME(field=value, ...)."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    __hash__ = None
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class ResidualEntry(_Record):
     """One checked identity: indices, exact residual, optional witness."""
 
-    name: str
-    indices: tuple
-    residual: Fraction
-    detail: Optional[str] = None
+    __slots__ = ("name", "indices", "residual", "detail")
+
+    def __init__(self, name: str, indices: tuple, residual: Fraction, detail: Optional[str] = None):
+        self.name = name
+        self.indices = indices
+        self.residual = residual
+        self.detail = detail
 
     @property
     def ok(self) -> bool:
         return self.residual == 0
 
 
-@dataclass
-class CheckReport:
-    check: str
-    params: dict
-    entries: list[ResidualEntry] = field(default_factory=list)
-    expect_failure: bool = False
+class CheckReport(_Record):
+    __slots__ = ("check", "params", "entries", "expect_failure")
+
+    def __init__(self, check: str, params: dict, entries: Optional[list[ResidualEntry]] = None,
+                 expect_failure: bool = False):
+        self.check = check
+        self.params = params
+        self.entries = [] if entries is None else entries
+        self.expect_failure = expect_failure
 
     @property
     def passed(self) -> bool:

@@ -181,6 +181,9 @@ def test_reports_deterministic_across_processes(tmp_path):
 
 
 _TABLES_AND_BOUNDS = ("supervir.walgebra", "supervir.ratfunc", "supervir.bounds")
+# the check, sweep and Gram paths define their records without dataclasses,
+# which would also load inspect (and with it ast, dis and tokenize)
+_DATACLASSES = ("dataclasses", "inspect")
 
 
 def _loaded_after(code, absent):
@@ -200,10 +203,10 @@ def _loaded_after(code, absent):
 
 
 @pytest.mark.parametrize("module,absent", [
-    ("supervir.verify", ("numpy", "scipy", *_TABLES_AND_BOUNDS)),
-    ("supervir.cli", ("numpy", "scipy", *_TABLES_AND_BOUNDS)),
+    ("supervir.verify", ("numpy", "scipy", *_TABLES_AND_BOUNDS, *_DATACLASSES)),
+    ("supervir.cli", ("numpy", "scipy", *_TABLES_AND_BOUNDS, *_DATACLASSES)),
     ("supervir.superalg", ("numpy", "scipy", "supervir.fock", "supervir.oscillators", "supervir.realizations",
-                           "supervir.verify", "supervir.cli", *_TABLES_AND_BOUNDS)),
+                           "supervir.verify", "supervir.cli", *_TABLES_AND_BOUNDS, *_DATACLASSES)),
     ("supervir.realizations", ("numpy", "scipy")),
     ("supervir", ("supervir.halfint", "supervir.scalars", "supervir.superalg", "supervir.fock",
                   "supervir.oscillators", "supervir.realizations", "supervir.verify", "supervir.cli",
@@ -216,12 +219,14 @@ def test_imports_stay_light(module, absent):
     submodule; the super-Virasoro presentations load no Fock layer; the
     checking engine and the CLI load neither the W-algebra side
     (walgebra, ratfunc) nor bounds, which only the CLI's tables and
-    bounds commands import when they run."""
+    bounds commands import when they run.  None of verify, cli and
+    superalg loads dataclasses or inspect."""
     assert _loaded_after(f"import {module}", absent) == []
 
 
 def test_check_run_stays_light():
-    """A whole `check` run loads neither the W-algebra side, nor bounds, nor numpy."""
+    """A whole `check` run loads neither the W-algebra side, nor bounds, nor
+    numpy, nor dataclasses and inspect."""
     argv = ["check", "--family", "ns", "--variant", "bs", "--kappa", "1/2", "--window", "1", "--cutoff", "1"]
     code = f"import os, supervir.cli; assert supervir.cli.main({argv!r} + ['--output', os.devnull]) == 0"
-    assert _loaded_after(code, ("numpy", *_TABLES_AND_BOUNDS)) == []
+    assert _loaded_after(code, ("numpy", *_TABLES_AND_BOUNDS, *_DATACLASSES)) == []

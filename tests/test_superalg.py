@@ -9,6 +9,7 @@ from supervir.superalg import (
     LowestWeightData,
     abstract_gram,
     discrete_series,
+    free_field_presentation,
     pbw_words,
     presentation_n2,
     presentation_ns,
@@ -37,6 +38,30 @@ def test_vacuum_expectation_examples():
     lwh = LowestWeightData(c=Fraction(1), h=Fraction(5, 11))
     got = vacuum_expectation((("L", half(-2)),), (("L", half(-2)),), lwh, VIR)
     assert got == GaussianRational(Fraction(10, 11))  # 2h
+
+
+def test_zero_modes_read_h_and_q():
+    lw = LowestWeightData(c=Fraction(1), h=Fraction(1, 6), q=Fraction(1, 3))
+    assert vacuum_expectation((), (("L", half(0)),), lw, N2) == GaussianRational(Fraction(1, 6))
+    assert vacuum_expectation((), (("J", half(0)),), lw, N2) == GaussianRational(Fraction(1, 3))
+    assert vacuum_expectation((), (("J", half(0)),), LowestWeightData(c=Fraction(1)), N2) == GaussianRational(0)
+    lwh = LowestWeightData(c=Fraction(7, 10), h=Fraction(3, 80))
+    # <L_{-1} v, L_0 L_{-1} v> = (h + 1) 2h
+    got = vacuum_expectation((("L", half(-2)),), (("L", half(0)), ("L", half(-2))), lwh, VIR)
+    assert got == GaussianRational(Fraction(83, 80) * Fraction(3, 40))
+    with pytest.raises(ValueError, match="odd family G has no zero mode"):
+        vacuum_expectation((), (("G", half(0)),), lw, NS)
+
+
+def test_free_field_zero_modes_kill_the_vacuum():
+    """An even zero mode of the free field kills the Fock vacuum, alone and
+    after a creation mode, as J_0 acts on the Fock space."""
+    pres, lw = free_field_presentation(1, 1), LowestWeightData(Fraction(0))
+    assert vacuum_expectation((), (("J0", half(0)),), lw, pres) == GaussianRational(0)
+    assert vacuum_expectation((("J0", half(0)),), (), lw, pres) == GaussianRational(0)
+    word = (("J0", half(-2)),)
+    assert vacuum_expectation(word, (("J0", half(0)),) + word, lw, pres) == GaussianRational(0)
+    assert vacuum_expectation(word, word, lw, pres) == GaussianRational(1)
 
 
 # ---------------------------------------------------------------------------
