@@ -4,7 +4,7 @@
 Loads the bundled Lie superalgebras, prints their gradations and
 level-dependent central charges, assembles generator bracket
 coefficients and mode commutators, and finishes with the exact
-anticommutator identity plus a floating-point operator-norm estimate.
+anticommutator identity plus exact restricted operator norms.
 """
 
 from fractions import Fraction
@@ -24,7 +24,7 @@ from supervir.walgebra import (
     minimal_gradation,
     unitary_range,
 )
-from supervir.bounds import anticommutator_identity, norm_estimate
+from supervir.bounds import anticommutator_identity, restricted_norm_sq
 
 print("== bundled algebras ==")
 for name in ("sl2", "spo(2|1)", "spo(2|2)", "spo(2|3)", "psl(2|2)"):
@@ -57,5 +57,5 @@ for nt in (1, 3, 5):
           f"{'exact' if report.passed else 'VIOLATED'}")
 content = FieldContent(1, 1)
 for cutoff in (4, 6, 8, 10):
-    value = norm_estimate(fermion_mode(0, half(1)), content, half(cutoff))
-    print(f"  restricted norm of Phi_1/2 at cutoff {half(cutoff)}: {value:.12f}")
+    norm_sq = restricted_norm_sq(fermion_mode(0, half(1)), content, half(cutoff))
+    print(f"  restricted norm^2 of Phi_1/2 at cutoff {half(cutoff)}: {norm_sq}")

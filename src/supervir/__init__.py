@@ -2,8 +2,9 @@
 superconformal algebras on truncated boson-fermion Fock superspaces, and
 for minimal-nilpotent W-algebra structure data.
 
-Everything algebraic is computed over the Gaussian rationals; floating
-point appears only in the optional operator-norm estimates.
+Everything, the energy bounds included, is computed over the Gaussian
+rationals, and the package depends on nothing outside the standard
+library.
 
 The package root imports nothing: each name comes from the module that
 defines it, so an entry point loads only the modules it runs.

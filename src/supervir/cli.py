@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -251,7 +252,7 @@ def cmd_tables(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    from . import bounds as bounds_mod  # numpy: loaded only by this command
+    from . import bounds as bounds_mod  # loaded only by this command
 
     cutoff = _parse_halfint(args.cutoff)
     if cutoff < 0:
@@ -269,9 +270,9 @@ def cmd_bounds(args) -> int:
             op = boson_mode(0, n.as_int())
         else:
             raise UsageError(f"unknown operator kind {args.op!r}")
-        estimate = bounds_mod.norm_estimate(op, content, cutoff)
+        norm_sq = bounds_mod.restricted_norm_sq(op, content, cutoff)
         document["params"].update({"op": args.op, "n": str(n)})
-        document["norm_estimate"] = {"value": estimate, "tolerance": 1e-9}
+        document["norm_estimate"] = {"norm_sq": format_rational(norm_sq), "value": math.sqrt(norm_sq)}
     else:
         params = _params_from_args(args)
         n = _parse_halfint(args.n)

@@ -176,8 +176,3 @@ def binom(x: Fraction, j: int) -> Fraction:
 def format_rational(value: Fraction) -> str:
     value = Fraction(value)
     return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
-
-
-def format_gaussian(value: GaussianRational) -> dict:
-    """Serialize to the report form {"re": "p/q", "im": "p/q"}."""
-    return {"re": format_rational(value.re), "im": format_rational(value.im)}

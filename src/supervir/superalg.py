@@ -494,16 +494,6 @@ class GramMatrix(NamedTuple):
     def size(self) -> int:
         return len(self.words)
 
-    def to_serializable(self) -> dict:
-        """Report form with every exact value rendered as a string."""
-        from .scalars import format_gaussian
-
-        return {
-            "level": str(self.level),
-            "words": [[f"{fam}({idx})" for fam, idx in word] for word in self.words],
-            "entries": [[format_gaussian(e) for e in row] for row in self.entries],
-        }
-
 
 def abstract_gram(pres: Presentation, lw: LowestWeightData, level: HalfInt) -> GramMatrix:
     """Gram matrix of the PBW spanning words at one weight level."""

@@ -13,7 +13,7 @@ import time
 from fractions import Fraction
 from math import factorial
 
-from supervir.bounds import anticommutator_identity, norm_estimate
+from supervir.bounds import anticommutator_identity, restricted_norm_sq
 from supervir.cli import main as cli_main
 from supervir.fock import FieldContent, FockVector, enumerate_basis
 from supervir.halfint import half
@@ -249,13 +249,13 @@ def test_criterion_8_energy_bounds():
                 assert report.passed and report.entries[0].residual == 0
         content = FieldContent(1, 1)
         for twice in (4, 6, 8, 10):  # cutoffs 2..5
-            got = norm_estimate(fermion_mode(0, half(1)), content, half(twice))
-            assert abs(got - 1.0) <= 1e-9, (twice, got)
+            got = restricted_norm_sq(fermion_mode(0, half(1)), content, half(twice))
+            assert got == 1, (twice, got)
     except AssertionError:
         passed = False
         raise
     finally:
-        _report(8, passed, "anticommutator identity exact; fermion norm 1.0 within 1e-9 at cutoffs 2-5")
+        _report(8, passed, "anticommutator identity exact; fermion norm squared exactly 1 at cutoffs 2-5")
 
 
 def test_criterion_9_discrete_series():

@@ -1,12 +1,14 @@
 from fractions import Fraction
+from math import sqrt
 
 import pytest
 
-from supervir.bounds import anticommutator_identity, derived_bound_check, norm_estimate
-from supervir.fock import FieldContent
+from supervir.bounds import anticommutator_identity, restricted_norm_sq
+from supervir.fock import FieldContent, enumerate_basis, state_norm_sq
 from supervir.halfint import half
-from supervir.oscillators import boson_mode, fermion_mode
+from supervir.oscillators import BilinearSpec, bilinear_mode, boson_mode, fermion_mode
 from supervir.realizations import RealizationParams
+from supervir.scalars import GaussianRational
 
 C11 = FieldContent(1, 1)
 
@@ -48,58 +50,75 @@ def test_identity_rejects_even_roles_and_bs():
 
 
 # ---------------------------------------------------------------------------
-# the derived inequality
+# the per-vector bound
 # ---------------------------------------------------------------------------
 
 
 def test_fermion_mode_zeroth_order_bound():
     """CAR nilpotence: ||Phi_n c|| <= ||c|| on every basis vector."""
-    from supervir.fock import enumerate_basis, state_norm_sq
-
     op = fermion_mode(0, half(1))
     for s in enumerate_basis(C11, half(8)):
         assert op.apply_state(s).norm_sq() <= state_norm_sq(s)
 
 
-def test_derived_bound_ns():
-    report = derived_bound_check(params("ns"), "G", half(3), half(8), Fraction(1), Fraction(1), Fraction(2))
-    assert report.identity_residual == 0
-    assert report.implication_holds
-    assert report.tightest_constant is not None and report.tightest_constant > 0
-
-
-def test_derived_bound_fractional_exponents():
-    report = derived_bound_check(
-        params("ns"), "G", half(3), half(6), Fraction(1), Fraction(1, 2), Fraction(3, 2)
-    )
-    assert report.implication_holds
-    assert report.tightest_constant is None  # only recorded for integer exponents
-
-
 # ---------------------------------------------------------------------------
-# float layer
+# exact restricted norms
 # ---------------------------------------------------------------------------
 
 
 def test_norm_examples():
-    assert norm_estimate(fermion_mode(0, half(1)), C11, half(8)) == pytest.approx(1.0, abs=1e-9)
-    assert norm_estimate(fermion_mode(0, half(1)).scale(0), C11, half(8)) == 0.0
-    assert norm_estimate(boson_mode(0, 1), C11, half(8)) == pytest.approx(2.0, abs=1e-9)
+    assert restricted_norm_sq(fermion_mode(0, half(1)), C11, half(8)) == 1
+    assert restricted_norm_sq(fermion_mode(0, half(1)).scale(0), C11, half(8)) == 0
+    assert restricted_norm_sq(boson_mode(0, 1), C11, half(8)) == 4
+    # J_2 |2^k> = 2k |2^(k-1)> with N(2^k) = 2^k k!: the ratio is 2k
+    assert restricted_norm_sq(boson_mode(0, 2), C11, half(8)) == 4
+    assert restricted_norm_sq(boson_mode(0, 2), C11, half(10)) == 4
+    coeff = GaussianRational(Fraction(1, 2), Fraction(1, 3))
+    assert restricted_norm_sq(boson_mode(0, 1).scale(coeff), C11, half(4)) == Fraction(13, 18)
 
 
 def test_fermion_norm_bounded_at_all_cutoffs():
     for t in (4, 5, 6, 8, 10):
-        got = norm_estimate(fermion_mode(0, half(1)), C11, half(t))
-        assert got == pytest.approx(1.0, abs=1e-9)
-        assert got <= 1.0 + 1e-9
+        for nt in (1, -1, 3):
+            got = restricted_norm_sq(fermion_mode(0, half(nt)), C11, half(t))
+            assert isinstance(got, Fraction) and got == 1, (t, nt)
+
+
+@pytest.mark.parametrize("content", [FieldContent(1, 0), C11])
+def test_boson_norm_is_the_weight(content):
+    """||J_{+-1}||^2 = w at weight w: J_1 |1^k> = k |1^(k-1)> with
+    N(1^k) = k!, so the ratio is k, largest for k = w; likewise for J_{-1}."""
+    for w in range(1, 6):
+        for m in (1, -1):
+            assert restricted_norm_sq(boson_mode(0, m), content, half(2 * w)) == w, (w, m)
 
 
 def test_norm_monotone_in_cutoff():
-    previous = 0.0
+    previous = Fraction(0)
     for t in (2, 4, 6, 8, 10):
-        got = norm_estimate(boson_mode(0, 1), C11, half(t))
-        assert got >= previous - 1e-9
+        got = restricted_norm_sq(boson_mode(0, 1), C11, half(t))
+        assert got >= previous
         previous = got
+
+
+def test_norm_of_diagonal_operator():
+    """The normal-ordered :JJ: zero mode is diagonal; its norm squared is
+    the largest |eigenvalue|^2 on the truncated basis."""
+    op = bilinear_mode(BilinearSpec("J", 0, "J", 0), half(0))
+    cutoff = half(6)
+    expected = Fraction(0)
+    for s in enumerate_basis(C11, cutoff):
+        image = op.apply_state(s)
+        assert set(image.terms) <= {s}
+        if image.terms:
+            expected = max(expected, image.terms[s].norm_sq())
+    assert expected > 0
+    assert restricted_norm_sq(op, C11, cutoff) == expected
+
+
+def test_overlapping_images_rejected():
+    with pytest.raises(ValueError, match=r"images of \|J0\[-1\]> and \|J0\[-2\]> overlap"):
+        restricted_norm_sq(boson_mode(0, 1) + boson_mode(0, 2), C11, half(6))
 
 
 def test_norm_oracle_small_matrix():
@@ -109,8 +128,6 @@ def test_norm_oracle_small_matrix():
 
     content = FieldContent(1, 0)
     cutoff = half(8)
-    from supervir.fock import enumerate_basis, state_norm_sq
-
     basis = enumerate_basis(content, cutoff)
     index = {s: i for i, s in enumerate(basis)}
     op = boson_mode(0, 1)
@@ -121,10 +138,10 @@ def test_norm_oracle_small_matrix():
                 (state_norm_sq(t) / state_norm_sq(s)) ** Fraction(1, 2)
             )
     oracle = float(np.linalg.svd(mat, compute_uv=False)[0])
-    got = norm_estimate(op, content, cutoff)
-    assert got == pytest.approx(oracle, rel=1e-9)
+    norm_sq = restricted_norm_sq(op, content, cutoff)
+    assert sqrt(float(norm_sq)) == pytest.approx(oracle, rel=1e-9)
 
 
 def test_cutoff_below_shift_rejected():
     with pytest.raises(ValueError):
-        norm_estimate(boson_mode(0, 3), C11, half(2))
+        restricted_norm_sq(boson_mode(0, 3), C11, half(2))

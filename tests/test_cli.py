@@ -144,7 +144,7 @@ def test_bounds_norm(capsys):
     code, out, _ = run(["bounds", "--op", "fermion", "--n", "1/2", "--cutoff", "4"], capsys)
     assert code == 0
     doc = json.loads(out)
-    assert abs(doc["norm_estimate"]["value"] - 1.0) <= 1e-9
+    assert doc["norm_estimate"] == {"norm_sq": "1", "value": 1.0}
 
 
 def test_reports_are_byte_identical(tmp_path):
@@ -211,16 +211,17 @@ def _loaded_after(code, absent):
     ("supervir", ("supervir.halfint", "supervir.scalars", "supervir.superalg", "supervir.fock",
                   "supervir.oscillators", "supervir.realizations", "supervir.verify", "supervir.cli",
                   *_TABLES_AND_BOUNDS)),
+    ("supervir.bounds", ("numpy", "scipy", *_DATACLASSES, "supervir.walgebra", "supervir.ratfunc")),
 ])
 def test_imports_stay_light(module, absent):
-    """Each entry point loads only the modules it runs.  The exact engine
-    needs neither numpy nor scipy; only the CLI's bounds command needs
-    numpy, and it imports it when it runs.  The package root imports no
-    submodule; the super-Virasoro presentations load no Fock layer; the
-    checking engine and the CLI load neither the W-algebra side
-    (walgebra, ratfunc) nor bounds, which only the CLI's tables and
-    bounds commands import when they run.  None of verify, cli and
-    superalg loads dataclasses or inspect."""
+    """Each entry point loads only the modules it runs.  No module needs
+    numpy or scipy: the energy bounds are exact too.  The package root
+    imports no submodule; the super-Virasoro presentations load no Fock
+    layer; the checking engine and the CLI load neither the W-algebra
+    side (walgebra, ratfunc) nor bounds, which only the CLI's tables and
+    bounds commands import when they run, and bounds loads no W-algebra
+    side either.  None of verify, cli, superalg and bounds loads
+    dataclasses or inspect."""
     assert _loaded_after(f"import {module}", absent) == []
 
 
@@ -230,3 +231,13 @@ def test_check_run_stays_light():
     argv = ["check", "--family", "ns", "--variant", "bs", "--kappa", "1/2", "--window", "1", "--cutoff", "1"]
     code = f"import os, supervir.cli; assert supervir.cli.main({argv!r} + ['--output', os.devnull]) == 0"
     assert _loaded_after(code, ("numpy", *_TABLES_AND_BOUNDS, *_DATACLASSES)) == []
+
+
+def test_bounds_run_stays_light():
+    """A `bounds` run, in its norm and its identity form, loads neither
+    numpy nor scipy, nor the W-algebra side, nor dataclasses and inspect."""
+    runs = [["bounds", "--op", "boson", "--n", "1", "--cutoff", "3"],
+            ["bounds", "--family", "ns", "--kappa", "1/3", "--role", "G", "--n", "3/2", "--cutoff", "2"]]
+    code = "import os, supervir.cli\n" + "\n".join(
+        f"assert supervir.cli.main({argv!r} + ['--output', os.devnull]) == 0" for argv in runs)
+    assert _loaded_after(code, ("numpy", "scipy", "supervir.walgebra", "supervir.ratfunc", *_DATACLASSES)) == []

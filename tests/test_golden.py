@@ -15,6 +15,14 @@ eta = 2/9; tilde at kappa = 5/3) run at window 3.  Regenerate a file only
 when a change of the report is intended, and say why in CHANGES.md; a
 kernel refactor must leave every byte as it is.
 
+The `bounds` reports are pinned the same way: golden/NAME.json was written
+by `PYTHONPATH=src python -m supervir.cli bounds FLAGS --output
+tests/golden/NAME.json` with the NAME and FLAGS listed in BOUNDS.  The two
+anticommutator reports were recorded at the commit before the exact
+restricted norm; the two `--op` reports were regenerated with it, which
+added `norm_sq`, dropped `tolerance` and gave the boson `value` as the
+square root of the exact 3.
+
 golden/abstract_grams.txt pins, for each case of ABSTRACT_GRAMS, the PBW
 words, Gram entries, PSD verdict, pivots, witness and witness value; it
 was written by `PYTHONPATH=src python tests/test_golden.py >
@@ -53,6 +61,16 @@ CONFIGS = {
     "n2_unitary_omega_m3_7": (["--family", "n2", "--variant", "unitary", "--kappa", "1/3", "--eta", "2/5",
                                "--omega=-3/7"], 2),
     "ns_tilde_kappa_5_3_window_3": (["--family", "ns", "--variant", "tilde", "--kappa", "5/3"], 3),
+}
+
+# name -> flags of one `bounds` report
+BOUNDS = {
+    "bounds_ns_G_3_2": ["--family", "ns", "--kappa", "1/3", "--eta", "2/5", "--role", "G", "--n", "3/2",
+                        "--cutoff", "4"],
+    "bounds_n2_G1_1_2": ["--family", "n2", "--kappa", "1/3", "--eta", "2/5", "--omega=-3/7", "--role", "G1",
+                         "--n", "1/2", "--cutoff", "3"],
+    "bounds_op_fermion": ["--op", "fermion", "--n", "1/2", "--cutoff", "4"],
+    "bounds_op_boson": ["--op", "boson", "--n", "1", "--cutoff", "3"],
 }
 
 # (algebra, c, h, q, vacuum module, level).  The first twelve are one point
@@ -111,6 +129,13 @@ def test_check_report_matches_golden_bytes(name, tmp_path):
     flags, window = CONFIGS[name]
     out = tmp_path / f"{name}.json"
     assert main(["check", *flags, "--window", str(window), "--cutoff", "3", "--output", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDS))
+def test_bounds_report_matches_golden_bytes(name, tmp_path):
+    out = tmp_path / f"{name}.json"
+    assert main(["bounds", *BOUNDS[name], "--output", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
 

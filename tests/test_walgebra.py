@@ -395,20 +395,6 @@ def test_data_dir_override(tmp_path, monkeypatch):
         load_superalgebra("spo(2|1)")
 
 
-def test_gram_serialization():
-    from supervir.superalg import LowestWeightData, abstract_gram, presentation_n2
-    from supervir.halfint import half
-
-    lw = LowestWeightData(c=Fraction(6), h=Fraction(5, 8), q=Fraction(1))
-    g = abstract_gram(presentation_n2(), lw, half(2))
-    doc = g.to_serializable()
-    assert doc["level"] == "1"
-    assert all(isinstance(e["re"], str) and isinstance(e["im"], str) for row in doc["entries"] for e in row)
-    import json
-
-    json.dumps(doc)  # round-trips through the report format
-
-
 def test_bundled_structure_data_regenerates_byte_for_byte(tmp_path):
     """tools/gen_structure_data.py rebuilds every bundled .alg file from
     supermatrices, byte for byte."""
