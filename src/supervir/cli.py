@@ -112,15 +112,10 @@ def cmd_check(args) -> int:
 
 
 def _default_pairs(window: int) -> list[tuple[HalfInt, HalfInt]]:
-    pairs = []
+    """Every (n, m), n > m, of one lattice with |n|, |m| <= window."""
     hi = half(2 * window)
-    for lattice in (True, False):
-        modes = halfint_range(-hi, hi, integer=lattice)
-        for i, n in enumerate(modes):
-            for m in modes[:i]:
-                if (n - m).is_integer:
-                    pairs.append((n, m))
-    return pairs
+    modes = [halfint_range(-hi, hi, integer=lattice) for lattice in (True, False)]
+    return [(n, m) for lattice in modes for i, n in enumerate(lattice) for m in lattice[:i]]
 
 
 def _lowest_weight_report(params: RealizationParams) -> verify.CheckReport:
@@ -187,9 +182,7 @@ def cmd_tables(args) -> int:
     if args.p_max < 3:
         raise UsageError("--p-max must be at least 3, where the series table starts")
     document = {"command": "tables", "params": {}, "version": __version__}
-    if args.series:
-        if args.series not in _SERIES_CLOSED_FORMS:
-            raise UsageError(f"unknown series {args.series!r}")
+    if args.series:  # argparse restricts it to the keys of _SERIES_CLOSED_FORMS
         formula, closed = _SERIES_CLOSED_FORMS[args.series]
         rows = []
         for p in range(3, args.p_max + 1):
@@ -262,14 +255,9 @@ def cmd_bounds(args) -> int:
     if args.op:
         n = _parse_halfint(args.n)
         content = FieldContent(1, 1)
-        if args.op == "fermion":
-            if n.is_integer:
-                raise UsageError("fermion modes are half-odd")
-            op = fermion_mode(0, n)
-        elif args.op == "boson":
-            op = boson_mode(0, n.as_int())
-        else:
-            raise UsageError(f"unknown operator kind {args.op!r}")
+        if args.op == "fermion" and n.is_integer:
+            raise UsageError("fermion modes are half-odd")
+        op = fermion_mode(0, n) if args.op == "fermion" else boson_mode(0, n.as_int())  # argparse: fermion|boson
         norm_sq = bounds_mod.restricted_norm_sq(op, content, cutoff)
         document["params"].update({"op": args.op, "n": str(n)})
         document["norm_estimate"] = {"norm_sq": format_rational(norm_sq), "value": math.sqrt(norm_sq)}

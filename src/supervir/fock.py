@@ -96,13 +96,11 @@ def _fermion_subsets(budget_twice: int) -> Iterator[tuple[int, ...]]:
 
     def rec(remaining: int, max_t: int, acc: list[int]):
         yield tuple(acc)
-        t = max_t if max_t % 2 else max_t - 1
-        while t >= 1:
-            if t <= remaining:
-                acc.append(t)
-                yield from rec(remaining - t, t - 2, acc)
-                acc.pop()
-            t -= 2
+        top = min(remaining, max_t)
+        for t in range(top - 1 + top % 2, 0, -2):
+            acc.append(t)
+            yield from rec(remaining - t, t - 2, acc)
+            acc.pop()
 
     yield from rec(budget_twice, budget_twice, [])
 
@@ -117,28 +115,19 @@ def enumerate_basis(content: FieldContent, max_weight: HalfInt) -> list[FockStat
         raise ValueError("max_weight must be nonnegative")
     budget = max_weight.twice
 
-    def per_boson(remaining: int, idx: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if idx == content.bosons:
+    def per_species(parts, scale: int, remaining: int, count: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+        """The modes of `count` species; a mode m costs scale * m of the twice-weight."""
+        if not count:
             yield ()
             return
-        for part in _boson_partitions(remaining // 2):
-            rest = remaining - 2 * sum(part)
-            for tail in per_boson(rest, idx + 1):
+        for part in parts(remaining // scale):
+            for tail in per_species(parts, scale, remaining - scale * sum(part), count - 1):
                 yield (part,) + tail
 
-    def per_fermion(remaining: int, idx: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if idx == content.fermions:
-            yield ()
-            return
-        for subset in _fermion_subsets(remaining):
-            rest = remaining - sum(subset)
-            for tail in per_fermion(rest, idx + 1):
-                yield (subset,) + tail
-
     states = []
-    for bos in per_boson(budget, 0):
+    for bos in per_species(_boson_partitions, 2, budget, content.bosons):
         used = 2 * sum(m for sp in bos for m in sp)
-        for fer in per_fermion(budget - used, 0):
+        for fer in per_species(_fermion_subsets, 1, budget - used, content.fermions):
             states.append(FockState(bos, fer))
     states.sort(key=FockState.sort_key)
     return states

@@ -16,6 +16,9 @@ StateTable with integer coefficients over a fixed denominator, and a
 ModeOperator's memoized columns are Gaussian-integer (id, re, im)
 triples over one common denominator.
 
+Only single-mode actions are memoized process-wide (`_act_cached`); a
+bilinear or tail sum acts afresh into the column of its operator.
+
 Sign convention: a state stores fermion modes per species in strictly
 decreasing order, species blocks concatenated left to right; applying a
 fermion mode counts the transpositions needed to reach its canonical
@@ -69,6 +72,10 @@ class _Primitive:
 
     def act(self, table: StateTable, sid: int) -> tuple[tuple[int, int], ...]:
         raise NotImplementedError
+
+    def image(self, table: StateTable, sid: int) -> tuple[tuple[int, int], ...]:
+        """`act` as a column reads it: memoized here, afresh for composites."""
+        return _act_cached(self, table, sid)
 
 
 @lru_cache(maxsize=None)
@@ -251,6 +258,8 @@ class _Bilinear(_Primitive):
                     acc[s2] = acc.get(s2, 0) + c1 * c2 * factor
         return _nonzero(acc)
 
+    image = act
+
 
 @lru_cache(maxsize=None)
 def _bilinear_branches(spec: BilinearSpec, k: int, w: int) -> tuple[tuple[_Primitive, _Primitive, int], ...]:
@@ -284,6 +293,8 @@ class _TailSum(_Primitive):
                 acc[s] = acc.get(s, 0) + (-c if l % 2 else c)
         return _nonzero(acc)
 
+    image = act
+
 
 # ---------------------------------------------------------------------------
 # the operator algebra
@@ -297,10 +308,12 @@ class ModeOperator:
 
     Chains apply right to left.  Each operator carries a parity shift
     and, when all terms shift weight uniformly, a declared weight shift
-    (None otherwise, e.g. for tail sums).
+    (None otherwise, e.g. for tail sums), and None or the parameter
+    `point` of a realized mode (see `memo`).
     """
 
-    __slots__ = ("terms", "denom", "parity", "weight_shift", "_columns", "_state_cache")
+    __slots__ = ("terms", "denom", "parity", "weight_shift", "point", "_columns", "_state_cache")
+    _held: list = [None]  # shared: the point whose operators hold memos, then those operators
 
     def __init__(
         self,
@@ -315,6 +328,7 @@ class ModeOperator:
         self.denom = denom // g
         self.parity = parity
         self.weight_shift = weight_shift
+        self.point = None
         self._columns: dict[StateTable, dict[int, tuple]] = {}
         self._state_cache: dict[FockState, FockVector] = {}
 
@@ -389,9 +403,17 @@ class ModeOperator:
 
     def memo(self, table: StateTable) -> dict[int, tuple]:
         """The memoized columns on `table`, keyed by state id; `column`
-        fills it."""
+        fills it.  Memos hold one point: when an operator of a new point
+        makes one, those of the previous point's operators are dropped."""
         memo = self._columns.get(table)
         if memo is None:
+            if self.point is not None:
+                if self.point != self._held[0]:
+                    for old in self._held[1:]:
+                        old._columns.clear()
+                        old._state_cache.clear()
+                    self._held[:] = [self.point]
+                self._held.append(self)
             memo = self._columns[table] = {}
         return memo
 
@@ -404,13 +426,13 @@ class ModeOperator:
             total: dict[int, list[int]] = {}
             for re, im, chain in self.terms:
                 if len(chain) == 1:
-                    vec = _act_cached(chain[0], table, sid)
+                    vec = chain[0].image(table, sid)
                 else:
                     img = {sid: 1}
                     for prim in reversed(chain):
                         nxt: dict[int, int] = {}
                         for s, c in img.items():
-                            for s2, c2 in _act_cached(prim, table, s):
+                            for s2, c2 in prim.image(table, s):
                                 nxt[s2] = nxt.get(s2, 0) + c * c2
                         img = {s: c for s, c in nxt.items() if c}
                     vec = img.items()

@@ -180,6 +180,7 @@ def make_mode(params: RealizationParams, role: str, index: HalfInt) -> ModeOpera
     op = ModeOperator.zero()
     for term, cf in terms:
         op = op + term.scale(cf)
+    op.point = params  # its memos hold one point at a time (ModeOperator.memo)
     return op
 
 

@@ -160,16 +160,13 @@ def test_reports_deterministic_across_processes(tmp_path):
     """Fresh interpreters with different hash seeds produce identical bytes."""
     import subprocess
     import sys
-    from pathlib import Path
 
-    import supervir
+    from conftest import child_env
 
-    # The children import the same supervir as this test run, installed or not.
-    src = str(Path(supervir.__file__).resolve().parent.parent)
     outs = []
     for seed in ("0", "424242"):
         out = tmp_path / f"p{seed}.json"
-        env = {"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin", "PYTHONPATH": src}
+        env = child_env(PYTHONHASHSEED=seed)
         code = subprocess.run(
             [sys.executable, "-m", "supervir.cli", "check", "--family", "n2", "--variant", "bs",
              "--kappa", "1/2", "--window", "1", "--cutoff", "2", "--output", str(out)],
@@ -190,14 +187,11 @@ def _loaded_after(code, absent):
     """Those of `absent` that a fresh interpreter has loaded after running `code`."""
     import subprocess
     import sys
-    from pathlib import Path
 
-    import supervir
+    from conftest import child_env
 
-    src = str(Path(supervir.__file__).resolve().parent.parent)
     code += f"\nimport sys; print(' '.join(m for m in {absent!r} if m in sys.modules))"
-    done = subprocess.run([sys.executable, "-c", code], env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src},
-                          capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     return done.stdout.split()
 

@@ -38,6 +38,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import child_env
 
 from supervir.cli import main
 from supervir.halfint import HalfInt
@@ -145,12 +146,7 @@ def test_abstract_grams_match_golden_text():
 
 @pytest.mark.parametrize("demo", sorted(p.stem for p in DEMOS.glob("*.py")))
 def test_demo_output_matches_golden_bytes(demo):
-    import supervir
-
-    # The child imports the same supervir as this test run, installed or not.
-    src = str(Path(supervir.__file__).resolve().parent.parent)
-    done = subprocess.run([sys.executable, str(DEMOS / f"{demo}.py")],
-                          env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src}, capture_output=True)
+    done = subprocess.run([sys.executable, str(DEMOS / f"{demo}.py")], env=child_env(), capture_output=True)
     assert done.returncode == 0, done.stderr.decode()
     assert done.stdout == (GOLDEN / "demos" / f"{demo}.txt").read_bytes()
 

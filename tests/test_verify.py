@@ -4,6 +4,7 @@ import pytest
 
 from supervir.fock import FockVector, enumerate_basis, inner_product
 from supervir.halfint import half, halfint_range
+from supervir.oscillators import ModeOperator
 from supervir.realizations import RealizationParams, make_mode
 from supervir.scalars import GaussianRational
 from supervir.superalg import family_presentation, psd_check
@@ -61,37 +62,104 @@ def test_relation_check_is_discriminating():
 
 def test_cold_relation_checks_stay_within_their_primitive_lookups():
     """A work-count guard, free of timing: in a fresh interpreter, one cold
-    check_relations at window 2, cutoff 3 may make at most 10 000
-    primitive memo lookups (_act_cached hits + misses) for ns/bs at
-    kappa = 1/2 and at most 120 000 for n2/unitary at (kappa, eta, omega)
-    = (1/2, 1, 1).  A relation kernel that looks up every bilinear branch,
-    annihilators of absent modes and J_0 included, makes 14 427 and
-    231 593; skipping those branches before the lookup gives 8 796 and
-    94 298."""
+    check_relations at window 2, cutoff 3 may make at most 7 100 primitive
+    memo lookups (_act_cached hits + misses) and grow that memo by at most
+    1 050 entries for ns/bs at kappa = 1/2, and at most 74 000 lookups and
+    11 500 entries for n2/unitary at (kappa, eta, omega) = (1/2, 1, 1).
+    Only single modes may reach the memo.  A relation kernel that looks
+    up every bilinear branch, annihilators of absent modes and J_0
+    included, makes 14 427 and 231 593 lookups; skipping those branches
+    gives 8 796 and 94 298, with 2 796 and 31 803 entries while the
+    bilinears and tail sums are memoized too; acting them out into the
+    columns gives 7 030 and 73 897 lookups and 1 030 and 11 402 entries."""
     import subprocess
     import sys
-    from pathlib import Path
 
-    import supervir
+    from conftest import child_env
 
-    src = str(Path(supervir.__file__).resolve().parent.parent)
     code = """
 from fractions import Fraction as F
 from supervir import oscillators
 from supervir.halfint import half
 from supervir.realizations import RealizationParams
 from supervir.verify import check_relations
+memo = oscillators._act_cached
+kinds = set()
+def spy(prim, table, sid):
+    kinds.add(type(prim).__name__)
+    return memo(prim, table, sid)
+oscillators._act_cached = spy
 for p in (RealizationParams("ns", "bs", F(1, 2)), RealizationParams("n2", "unitary", F(1, 2), F(1), F(1))):
-    before = oscillators._act_cached.cache_info()
+    before = memo.cache_info()
     assert check_relations(p, 2, half(6)).passed
-    after = oscillators._act_cached.cache_info()
-    print(after.hits + after.misses - before.hits - before.misses)
+    after = memo.cache_info()
+    print(after.hits + after.misses - before.hits - before.misses, after.currsize - before.currsize)
+print(*sorted(kinds))
 """
-    done = subprocess.run([sys.executable, "-c", code], env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src},
-                          capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    ns_lookups, n2_lookups = map(int, done.stdout.split())
-    assert ns_lookups <= 10_000 and n2_lookups <= 120_000, (ns_lookups, n2_lookups)
+    (ns_lookups, ns_entries), (n2_lookups, n2_entries), kinds = map(str.split, done.stdout.splitlines())
+    assert int(ns_lookups) <= 7_100 and int(n2_lookups) <= 74_000, (ns_lookups, n2_lookups)
+    assert int(ns_entries) <= 1_050 and int(n2_entries) <= 11_500, (ns_entries, n2_entries)
+    assert kinds == ["_BosonMode", "_FermionMode"]
+
+
+# ---------------------------------------------------------------------------
+# memo lifetimes: one parameter point at a time
+# ---------------------------------------------------------------------------
+
+
+def _held_column_entries() -> int:
+    import gc
+
+    return sum(len(memo) for op in gc.get_objects() if isinstance(op, ModeOperator) for memo in op._columns.values())
+
+
+def test_sweep_holds_one_points_columns():
+    """Ten ns/bs points in one process: the operators hold no more column
+    entries after the last point than after the first."""
+    held = []
+    for k in range(1, 11):
+        assert check_relations(params("ns", "bs", Fraction(k, 11)), 2, half(6)).passed
+        held.append(_held_column_entries())
+    assert held[-1] <= held[0], held
+
+
+def test_revisited_point_rebuilds_its_report(tmp_path):
+    """p1, p2, p1: the memos p2 dropped rebuild exactly, so the second p1
+    report is byte-identical to the first."""
+    from supervir.cli import main
+
+    argv = ["check", "--family", "ns", "--variant", "bs", "--window", "1", "--cutoff", "2"]
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert main(argv + ["--kappa", "3/11", "--output", str(first)]) == 0
+    assert main(argv + ["--kappa", "5/13", "--output", str(tmp_path / "other.json")]) == 0
+    op = make_mode(params("ns", "bs", Fraction(3, 11)), "L", half(0))
+    assert not op._columns and not op._state_cache
+    assert main(argv + ["--kappa", "3/11", "--output", str(second)]) == 0
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_adjoint_checks_build_no_operators(monkeypatch):
+    """The paired and bare adjoint checks read the columns of the modes
+    make_mode returns and build no operator of their own."""
+    p = params("ns", "bs", Fraction(2, 9))
+    pres = family_presentation(p.family)
+    for role in p.roles():
+        for n in halfint_range(half(-4), half(4), integer=pres.integer_moded(role)):
+            make_mode(p, role, n)
+    built = []
+    init = ModeOperator.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ModeOperator, "__init__", counting_init)
+    pairs = [(half(2), half(-2)), (half(4), half(0)), (half(1), half(-1)), (half(3), half(-1))]
+    assert check_weak_symmetry(p, pairs, half(4)).passed
+    assert not single_mode_symmetry_control(p, "L", half(2), half(4)).entries[0].ok
+    assert built == []
 
 
 # ---------------------------------------------------------------------------
